@@ -32,16 +32,7 @@ _FLAG_HELP = {
     "out_dir": "output directory for all artifacts",
 }
 
-_STAGES = {
-    "ingest": pipeline.stage_ingest,
-    "graph": pipeline.stage_graph,
-    "communities": pipeline.stage_communities,
-    "scores": pipeline.stage_scores,
-    "urls": pipeline.stage_urls,
-    "nulltest": pipeline.stage_nulltest,
-    "curves": pipeline.stage_curves,
-    "all": pipeline.run_pipeline,
-}
+_STAGES = (*pipeline.STAGES, "all")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -95,7 +86,10 @@ def main(argv: list[str] | None = None) -> int:
             result = pipeline.stage_synth(args.spec, args.seed, args.out_dir)
         else:
             config = _config_from_args(args)
-            result = _STAGES[args.command](config)
+            if args.command == "all":
+                result = pipeline.run_pipeline(config)
+            else:
+                result = pipeline.run_stage(config, args.command)
         print(json.dumps(result, indent=2, sort_keys=True, default=str))
         return 0
     except ToolkitError as exc:

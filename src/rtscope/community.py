@@ -190,6 +190,14 @@ def _aggregate(
 _MAX_LEVELS = 64
 
 
+def _first_seen_labels(raw: np.ndarray) -> tuple[np.ndarray, int]:
+    """Relabel densely: the k distinct values become 0..k-1 in order of first appearance."""
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse], int(first.size)
+
+
 def louvain(
     g: UndirectedGraph,
     seed: int,
@@ -244,16 +252,9 @@ def louvain(
     else:
         log.warning("louvain stopped after %d levels without converging", _MAX_LEVELS)
 
-    canon: dict[int, int] = {}
-    final = np.empty(g.n_nodes, dtype=np.int64)
-    for i, c in enumerate(node_map.tolist()):
-        label = canon.get(c)
-        if label is None:
-            label = len(canon)
-            canon[c] = label
-        final[i] = label
+    final, n_communities = _first_seen_labels(node_map)
     q = modularity(g, final)
-    partition = Partition(labels=final, n_communities=len(canon), modularity=q)
+    partition = Partition(labels=final, n_communities=n_communities, modularity=q)
     if with_trace:
         return partition, trace if trace is not None else []
     return partition
@@ -299,25 +300,21 @@ def load_partition(path: Path | str, nodes: NodeTable) -> Partition:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["author_id", "community_label"]:
-                raise InputError(f"{path}: bad partition header {header}")
-            for row in reader:
-                idx = nodes.get(row[0])
-                if idx is None:
-                    raise DataIntegrityError(f"{path}: author {row[0]!r} not in node table")
-                raw[idx] = int(row[1])
+            try:
+                header = next(reader, None)
+                if header != ["author_id", "community_label"]:
+                    raise InputError(f"{path}: bad partition header {header}")
+                for row in reader:
+                    idx = nodes.get(row[0])
+                    if idx is None:
+                        raise DataIntegrityError(f"{path}: author {row[0]!r} not in node table")
+                    raw[idx] = int(row[1])
+            except (ValueError, IndexError, OverflowError) as exc:
+                raise InputError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read partition {path}: {exc}") from exc
     if (raw < 0).any():
         missing = nodes.name(int(np.flatnonzero(raw < 0)[0]))
         raise DataIntegrityError(f"{path}: no community for author {missing!r}")
-    canon: dict[int, int] = {}
-    labels = np.empty_like(raw)
-    for i, c in enumerate(raw.tolist()):
-        label = canon.get(c)
-        if label is None:
-            label = len(canon)
-            canon[c] = label
-        labels[i] = label
-    return Partition(labels=labels, n_communities=len(canon), modularity=None)
+    labels, n_communities = _first_seen_labels(raw)
+    return Partition(labels=labels, n_communities=n_communities, modularity=None)

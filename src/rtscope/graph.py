@@ -151,10 +151,6 @@ class UndirectedGraph:
             return float(self.wgt[pos])
         return 0.0
 
-    def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        start, end = self.indptr[u], self.indptr[u + 1]
-        return self.nbr[start:end], self.wgt[start:end]
-
 
 def to_undirected(g: RetweetGraph) -> UndirectedGraph:
     """Sum the two directed weights per unordered pair; the node table is shared."""
@@ -235,13 +231,16 @@ def load_graph(nodes_path: Path | str, edges_path: Path | str) -> RetweetGraph:
     try:
         with open(nodes_path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["index", "author_id"]:
-                raise InputError(f"{nodes_path}: bad node-table header {header}")
-            for row in reader:
-                idx = nodes.intern(row[1])
-                if idx != int(row[0]):
-                    raise InputError(f"{nodes_path}: node indices are not dense/in order")
+            try:
+                header = next(reader, None)
+                if header != ["index", "author_id"]:
+                    raise InputError(f"{nodes_path}: bad node-table header {header}")
+                for row in reader:
+                    idx = nodes.intern(row[1])
+                    if idx != int(row[0]):
+                        raise InputError(f"{nodes_path}: node indices are not dense/in order")
+            except (ValueError, IndexError) as exc:
+                raise InputError(f"{nodes_path}:{reader.line_num}: malformed row: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read node table {nodes_path}: {exc}") from exc
 
@@ -249,16 +248,19 @@ def load_graph(nodes_path: Path | str, edges_path: Path | str) -> RetweetGraph:
     try:
         with open(edges_path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["src_index", "dst_index", "weight"]:
-                raise InputError(f"{edges_path}: bad edge-list header {header}")
-            for row in reader:
-                s, t, w = int(row[0]), int(row[1]), int(row[2])
-                if not (0 <= s < len(nodes) and 0 <= t < len(nodes)):
-                    raise InputError(f"{edges_path}: edge ({s},{t}) outside node table")
-                if s == t or w < 1:
-                    raise InputError(f"{edges_path}: invalid edge ({s},{t},{w})")
-                weights[(s, t)] = w
+            try:
+                header = next(reader, None)
+                if header != ["src_index", "dst_index", "weight"]:
+                    raise InputError(f"{edges_path}: bad edge-list header {header}")
+                for row in reader:
+                    s, t, w = int(row[0]), int(row[1]), int(row[2])
+                    if not (0 <= s < len(nodes) and 0 <= t < len(nodes)):
+                        raise InputError(f"{edges_path}: edge ({s},{t}) outside node table")
+                    if s == t or w < 1:
+                        raise InputError(f"{edges_path}: invalid edge ({s},{t},{w})")
+                    weights[(s, t)] = w
+            except (ValueError, IndexError) as exc:
+                raise InputError(f"{edges_path}:{reader.line_num}: malformed row: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read edge list {edges_path}: {exc}") from exc
     return RetweetGraph(nodes=nodes, weights=weights)

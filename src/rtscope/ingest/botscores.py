@@ -8,6 +8,7 @@ import logging
 import os
 import threading
 import time
+import uuid
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -25,32 +26,20 @@ class BotScoreTable:
     def __init__(self) -> None:
         self._scores: dict[str, float] = {}
         self._provenance: dict[str, str] = {}
-        self._fetched_at: dict[str, int] = {}
         self.rejected_rows: list[tuple[int, str]] = []
 
-    def put(
-        self,
-        user_id: str,
-        score: float,
-        provenance: str = PROVENANCE_FILE,
-        fetched_at: int | None = None,
-    ) -> None:
+    def put(self, user_id: str, score: float, provenance: str = PROVENANCE_FILE) -> None:
         score = float(score)
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"bot score {score} outside [0, 1]")
         self._scores[user_id] = score
         self._provenance[user_id] = provenance
-        if fetched_at is not None:
-            self._fetched_at[user_id] = int(fetched_at)
 
     def get(self, user_id: str) -> float | None:
         return self._scores.get(user_id)
 
     def provenance_of(self, user_id: str) -> str | None:
         return self._provenance.get(user_id)
-
-    def fetched_at_of(self, user_id: str) -> int | None:
-        return self._fetched_at.get(user_id)
 
     def users(self) -> list[str]:
         return list(self._scores)
@@ -145,7 +134,7 @@ class BotScoreClient:
         digest = hashlib.sha1(user_id.encode("utf-8")).hexdigest()
         return self.cache_dir / f"{digest}.json"
 
-    def _cache_get(self, user_id: str) -> dict | None:
+    def _cache_get(self, user_id: str) -> float | None:
         if self.cache_dir is None:
             return None
         path = self._cache_path(user_id)
@@ -158,18 +147,24 @@ class BotScoreClient:
         score = entry.get("score")
         if not isinstance(score, (int, float)) or not 0.0 <= float(score) <= 1.0:
             return None
-        return entry
+        return float(score)
 
     def _cache_put(self, user_id: str, score: float, fetched_at: int) -> None:
         if self.cache_dir is None:
             return
         path = self._cache_path(user_id)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps({"user_id": user_id, "score": score, "fetched_at": fetched_at}),
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
+        # A temp name unique to this write, so concurrent runs sharing the
+        # cache dir never write into each other's temp file.
+        tmp = path.with_name(f"{path.stem}.{uuid.uuid4().hex}.tmp")
+        try:
+            tmp.write_text(
+                json.dumps({"user_id": user_id, "score": score, "fetched_at": fetched_at}),
+                encoding="utf-8",
+            )
+            os.replace(tmp, path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
 
     # -- transport -----------------------------------------------------
 
@@ -205,7 +200,6 @@ class BotScoreClient:
         headers = {"Accept": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
-        url = f"{self.endpoint}?user_id={user_id}"
         last_failure = "no attempt made"
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
@@ -213,7 +207,12 @@ class BotScoreClient:
             with self._lock:
                 self._throttle()
                 try:
-                    response = transport.get(url, headers=headers, timeout=self.timeout)
+                    response = transport.get(
+                        self.endpoint,
+                        params={"user_id": user_id},
+                        headers=headers,
+                        timeout=self.timeout,
+                    )
                 except Exception as exc:  # network-level failure, retryable
                     last_failure = f"transport error: {exc}"
                     log.debug("bot-score request for %s failed: %s", user_id, exc)
@@ -233,18 +232,15 @@ class BotScoreClient:
             f"no score for user {user_id!r} after {self.max_retries + 1} attempts ({last_failure})"
         )
 
-    # -- public API ----------------------------------------------------
-
-    def fetch(self, user_id: str) -> float:
-        """Return the raw score for ``user_id``, from cache when possible."""
-        if not user_id:
-            raise ValueError("user_id must be non-empty")
-        cached = self._cache_get(user_id)
-        if cached is not None:
-            return float(cached["score"])
-        score = self._request_score(user_id)
-        self._cache_put(user_id, score, fetched_at=int(self._clock()))
+    def _score(self, user_id: str) -> float:
+        """Cache read-through: the cached score, else a service request written to the cache."""
+        score = self._cache_get(user_id)
+        if score is None:
+            score = self._request_score(user_id)
+            self._cache_put(user_id, score, fetched_at=int(self._clock()))
         return score
+
+    # -- public API ----------------------------------------------------
 
     def fetch_into(self, table: BotScoreTable, user_ids: Iterable[str]) -> int:
         """Fetch scores for ``user_ids`` into ``table``; returns how many were unavailable."""
@@ -252,22 +248,11 @@ class BotScoreClient:
         for user_id in user_ids:
             if user_id in table:
                 continue
-            cached = self._cache_get(user_id)
-            if cached is not None:
-                table.put(
-                    user_id,
-                    float(cached["score"]),
-                    provenance=PROVENANCE_SERVICE,
-                    fetched_at=cached.get("fetched_at"),
-                )
-                continue
             try:
-                score = self._request_score(user_id)
+                score = self._score(user_id)
             except ScoreUnavailableError as exc:
                 log.warning("%s", exc)
                 unavailable += 1
                 continue
-            fetched_at = int(self._clock())
-            self._cache_put(user_id, score, fetched_at=fetched_at)
-            table.put(user_id, score, provenance=PROVENANCE_SERVICE, fetched_at=fetched_at)
+            table.put(user_id, score, provenance=PROVENANCE_SERVICE)
         return unavailable

@@ -111,13 +111,8 @@ def parse_tweet_line(line: str) -> TweetRecord:
 def parse_tweet_stream(
     source: IO[bytes] | IO[str] | Iterable[bytes | str],
     report: ParseReport | None = None,
-    check_duplicates: bool = True,
 ) -> Iterator[TweetRecord]:
-    """Yield records in file order; malformed or duplicate lines are tallied.
-
-    ``check_duplicates`` keeps every seen tweet_id in memory; disable it for
-    streams known to be deduplicated.
-    """
+    """Yield records in file order; malformed or duplicate lines are tallied."""
     if report is None:
         report = ParseReport()
     seen: set[str] = set()
@@ -138,11 +133,10 @@ def parse_tweet_stream(
             except MalformedRecord as exc:
                 report.note_error(line_no, str(exc))
                 continue
-            if check_duplicates:
-                if record.tweet_id in seen:
-                    report.duplicates += 1
-                    continue
-                seen.add(record.tweet_id)
+            if record.tweet_id in seen:
+                report.duplicates += 1
+                continue
+            seen.add(record.tweet_id)
             report.parsed += 1
             yield record
     except OSError as exc:

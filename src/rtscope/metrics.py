@@ -210,38 +210,6 @@ def _author_label(record: TweetRecord, partition: Partition, nodes: NodeTable) -
     return idx, int(partition.labels[idx])
 
 
-def share_vector(
-    url: NormalizedUrl,
-    tweets: Iterable[TweetRecord],
-    partition: Partition,
-    nodes: NodeTable,
-) -> dict[int, int]:
-    """Count every tweet or retweet containing ``url``, bucketed by community."""
-    counts: dict[int, int] = {}
-    for record in tweets:
-        if not record.urls or url.canonical not in _canonicals(record):
-            continue
-        _, label = _author_label(record, partition, nodes)
-        counts[label] = counts.get(label, 0) + 1
-    return counts
-
-
-def identify_ops(
-    url: NormalizedUrl, tweets: Iterable[TweetRecord], nodes: NodeTable
-) -> set[int]:
-    """Original posters: authors of non-retweet records containing ``url``."""
-    ops: set[int] = set()
-    for record in tweets:
-        if record.is_retweet or not record.urls:
-            continue
-        if url.canonical in _canonicals(record):
-            idx = nodes.get(record.author_id)
-            if idx is None:
-                raise DataIntegrityError(f"author {record.author_id!r} is not in the node table")
-            ops.add(idx)
-    return ops
-
-
 @dataclass
 class UrlDiffusionRecord:
     url: NormalizedUrl
@@ -357,33 +325,6 @@ def build_url_table(
     if op_less:
         log.info("%d URL(s) have no original poster inside the capture window", op_less)
     return records
-
-
-def aggregate_url(
-    url: NormalizedUrl,
-    tweets: Iterable[TweetRecord],
-    partition: Partition,
-    nodes: NodeTable,
-    profiles: Mapping[int, UserProfile],
-    bot_scores: BotScoreTable | None = None,
-    entropy_low: float = 0.4,
-    entropy_high: float = 0.9,
-) -> UrlDiffusionRecord:
-    """Diffusion record for one URL; same path as ``build_url_table``."""
-    acc = _UrlAccumulator(url)
-    for record in tweets:
-        if not record.urls or url.canonical not in _canonicals(record):
-            continue
-        idx, label = _author_label(record, partition, nodes)
-        acc.shares[label] = acc.shares.get(label, 0) + 1
-        if record.is_retweet:
-            acc.retweets += 1
-            acc.retweeters.add(idx)
-        else:
-            acc.ops.add(idx)
-    if not acc.shares:
-        raise DomainError(f"URL {url.canonical!r} never appears in the records")
-    return _finalize(acc, nodes, profiles, bot_scores, entropy_low, entropy_high)
 
 
 def filter_urls(

@@ -1,7 +1,10 @@
 """End-to-end batch pipeline: configuration, stages, and on-disk artifacts.
 
+The pipeline is one ordered stage table (``STAGES``) over a ``RunContext``.
 Every stage writes plot-ready CSVs plus small JSON reports into the output
-directory; ``run_pipeline`` chains all stages and writes a manifest. Outputs
+directory. ``run_pipeline`` runs the whole table over one context and writes
+a manifest; ``run_stage`` runs one entry over a fresh context, which loads
+earlier stages' results from their caches in the output directory. Outputs
 contain no timestamps or absolute paths, so reruns with identical inputs and
 configuration are byte-identical.
 """
@@ -13,6 +16,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -25,7 +29,7 @@ from rtscope import stats as stats_mod
 from rtscope.errors import ConfigError, DomainError, InputError, ToolkitError
 from rtscope.ingest.botscores import BotScoreClient, BotScoreTable, load_bot_scores
 from rtscope.ingest.catalog import load_source_catalog
-from rtscope.ingest.records import ParseReport, TweetRecord, parse_tweet_stream
+from rtscope.ingest.records import ParseReport, TweetRecord, read_tweet_file
 from rtscope.metrics import UserProfile
 
 log = logging.getLogger(__name__)
@@ -166,12 +170,6 @@ def config_from_sources(
 # helpers
 
 
-def _stage_error(stage: str, exc: ToolkitError) -> ToolkitError:
-    wrapped = type(exc)(f"{stage}: {exc}")
-    wrapped.exit_code = exc.exit_code
-    return wrapped
-
-
 def _require(config: RunConfig, key: str) -> Path:
     value = getattr(config, key)
     if value is None:
@@ -194,72 +192,6 @@ def _write_json(obj: Any, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _out(config: RunConfig) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# stage primitives (in-memory cores shared by standalone stages and `all`)
-
-
-def _load_records(config: RunConfig) -> tuple[list[TweetRecord], ParseReport]:
-    tweets_path = _require(config, "tweets")
-    report = ParseReport()
-    try:
-        with open(tweets_path, "rb") as fh:
-            records = list(parse_tweet_stream(fh, report))
-    except OSError as exc:
-        raise InputError(f"cannot read tweet file {tweets_path}: {exc}") from exc
-    return records, report
-
-
-def _load_bot_table(config: RunConfig, author_ids: list[str]) -> tuple[BotScoreTable | None, int]:
-    """Bot scores from the file table and/or the scoring service; None if neither."""
-    table: BotScoreTable | None = None
-    unavailable = 0
-    if config.bot_scores is not None:
-        table = load_bot_scores(_require(config, "bot_scores"))
-    if config.service_endpoint:
-        if table is None:
-            table = BotScoreTable()
-        cache_dir = config.service_cache_dir or os.environ.get(CACHE_DIR_ENV)
-        client = BotScoreClient(
-            endpoint=config.service_endpoint,
-            token=os.environ.get(config.service_token_env),
-            cache_dir=cache_dir,
-            requests_per_minute=config.service_rpm,
-        )
-        unavailable = client.fetch_into(table, author_ids)
-    return table, unavailable
-
-
-def _build_graph(records: list[TweetRecord]) -> graph_mod.RetweetGraph:
-    graph = graph_mod.build_retweet_graph(records)
-    if graph.n_edges == 0:
-        raise DomainError("edgeless graph: no retweet records to build links from")
-    return graph
-
-
-def _load_graph_cache(config: RunConfig) -> graph_mod.RetweetGraph:
-    out = _out(config)
-    nodes_path = out / "nodes.csv"
-    edges_path = out / "edges.csv"
-    if not nodes_path.exists() or not edges_path.exists():
-        raise InputError("graph cache not found; run the 'graph' stage first")
-    return graph_mod.load_graph(nodes_path, edges_path)
-
-
-def _load_partition_cache(
-    config: RunConfig, nodes: graph_mod.NodeTable
-) -> community_mod.Partition:
-    path = _out(config) / "partition.csv"
-    if not path.exists():
-        raise InputError("partition.csv not found; run the 'communities' stage first")
-    return community_mod.load_partition(path, nodes)
 
 
 USER_SCORE_COLUMNS = [
@@ -296,148 +228,182 @@ def _write_user_scores(
             )
 
 
-def _load_user_scores(
-    config: RunConfig, nodes: graph_mod.NodeTable
-) -> dict[int, UserProfile]:
-    path = _out(config) / "user_scores.csv"
+def _load_user_scores(path: Path, nodes: graph_mod.NodeTable) -> dict[int, UserProfile]:
     if not path.exists():
         raise InputError("user_scores.csv not found; run the 'scores' stage first")
     profiles: dict[int, UserProfile] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != USER_SCORE_COLUMNS:
-            raise InputError(f"{path}: unexpected header {header}")
-        for row in reader:
-            idx = nodes.get(row[0])
-            if idx is None:
-                raise InputError(f"{path}: author {row[0]!r} not in the node table")
-            profiles[idx] = UserProfile(
-                user=idx,
-                total=int(row[1]),
-                unreliable=int(row[2]),
-                reliable=int(row[3]),
-                ratio=float(row[4]),
-                untrustworthiness=float(row[5]),
-                bot_score=float(row[6]) if row[6] else None,
-            )
+        try:
+            header = next(reader, None)
+            if header != USER_SCORE_COLUMNS:
+                raise InputError(f"{path}: unexpected header {header}")
+            for row in reader:
+                idx = nodes.get(row[0])
+                if idx is None:
+                    raise InputError(f"{path}: author {row[0]!r} not in the node table")
+                profiles[idx] = UserProfile(
+                    user=idx,
+                    total=int(row[1]),
+                    unreliable=int(row[2]),
+                    reliable=int(row[3]),
+                    ratio=float(row[4]),
+                    untrustworthiness=float(row[5]),
+                    bot_score=float(row[6]) if row[6] else None,
+                )
+        except (ValueError, IndexError) as exc:
+            raise InputError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
     return profiles
 
 
-def _compute_profiles(
-    config: RunConfig, records: list[TweetRecord], nodes: graph_mod.NodeTable
-) -> tuple[dict[int, UserProfile], BotScoreTable | None, dict[str, Any]]:
-    catalog = load_source_catalog(
-        _require(config, "unreliable_sources"), _require(config, "reliable_sources")
-    )
-    tallies = metrics_mod.user_tallies(records, catalog)
-    bot_table, unavailable = _load_bot_table(config, list(nodes.names))
-    profiles = metrics_mod.build_profiles(tallies, nodes, bot_table)
-    counts = {
-        "scored_users": len(profiles),
-        "catalog_unreliable_domains": len(catalog.unreliable),
-        "catalog_reliable_domains": len(catalog.reliable),
-        "bot_scores_available": sum(1 for p in profiles.values() if p.bot_score is not None),
-        "bot_scores_unavailable": unavailable,
-        "max_catalog_tweets": max((p.total for p in profiles.values()), default=0),
-    }
-    return profiles, bot_table, counts
+# ---------------------------------------------------------------------------
+# run context
 
 
-def _compute_url_table(
-    config: RunConfig,
-    records: list[TweetRecord],
-    partition: community_mod.Partition,
-    nodes: graph_mod.NodeTable,
-    profiles: Mapping[int, UserProfile],
-    bot_table: BotScoreTable | None = None,
-) -> tuple[list[metrics_mod.UrlDiffusionRecord], list[metrics_mod.UrlDiffusionRecord], dict]:
-    if bot_table is None and (config.bot_scores is not None or config.service_endpoint):
-        bot_table, _ = _load_bot_table(config, list(nodes.names))
-    table = metrics_mod.build_url_table(
-        records,
-        partition,
-        nodes,
-        profiles,
-        bot_table,
-        entropy_low=config.entropy_low,
-        entropy_high=config.entropy_high,
-    )
-    filtered = metrics_mod.filter_urls(table, config.min_shares)
-    threshold = None
-    if len(filtered) >= 4:
-        threshold = stats_mod.success_threshold(
-            [r.retweets for r in filtered], config.success_quantile
+class RunContext:
+    """The values stages share within one process, each computed at most once.
+
+    A stage that produces a value stores it here, so later stages of the same
+    run use it in memory. A value no earlier stage produced is loaded from the
+    stage cache in the output directory; records are parsed from the tweet
+    file.
+    """
+
+    def __init__(self, config: RunConfig) -> None:
+        self.config = config
+
+    @cached_property
+    def out(self) -> Path:
+        out = Path(self.config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return out
+
+    @cached_property
+    def tweets(self) -> tuple[list[TweetRecord], ParseReport]:
+        return read_tweet_file(_require(self.config, "tweets"))
+
+    @cached_property
+    def graph(self) -> graph_mod.RetweetGraph:
+        nodes_path = self.out / "nodes.csv"
+        edges_path = self.out / "edges.csv"
+        if not nodes_path.exists() or not edges_path.exists():
+            raise InputError("graph cache not found; run the 'graph' stage first")
+        return graph_mod.load_graph(nodes_path, edges_path)
+
+    @cached_property
+    def partition(self) -> community_mod.Partition:
+        path = self.out / "partition.csv"
+        if not path.exists():
+            raise InputError("partition.csv not found; run the 'communities' stage first")
+        return community_mod.load_partition(path, self.graph.nodes)
+
+    @cached_property
+    def profiles(self) -> dict[int, UserProfile]:
+        return _load_user_scores(self.out / "user_scores.csv", self.graph.nodes)
+
+    @cached_property
+    def bot_scores(self) -> tuple[BotScoreTable | None, int]:
+        """Bot scores from the file table and/or the scoring service; None if neither.
+
+        Also returns how many users the service could not score.
+        """
+        config = self.config
+        table: BotScoreTable | None = None
+        unavailable = 0
+        if config.bot_scores is not None:
+            table = load_bot_scores(_require(config, "bot_scores"))
+        if config.service_endpoint:
+            if table is None:
+                table = BotScoreTable()
+            cache_dir = config.service_cache_dir or os.environ.get(CACHE_DIR_ENV)
+            client = BotScoreClient(
+                endpoint=config.service_endpoint,
+                token=os.environ.get(config.service_token_env),
+                cache_dir=cache_dir,
+                requests_per_minute=config.service_rpm,
+            )
+            unavailable = client.fetch_into(table, list(self.graph.nodes.names))
+        return table, unavailable
+
+    @cached_property
+    def url_table(self) -> tuple[list[metrics_mod.UrlDiffusionRecord], dict[str, Any]]:
+        """URLs above the share threshold, marked for success, and the table's counts."""
+        config = self.config
+        records, _ = self.tweets
+        nodes = self.graph.nodes
+        partition = self.partition
+        profiles = self.profiles
+        bot_table, _ = self.bot_scores
+        table = metrics_mod.build_url_table(
+            records,
+            partition,
+            nodes,
+            profiles,
+            bot_table,
+            entropy_low=config.entropy_low,
+            entropy_high=config.entropy_high,
         )
-        metrics_mod.mark_successful(filtered, threshold)
-    else:
-        log.warning(
-            "only %d URL(s) above the share threshold; success marking skipped",
-            len(filtered),
-        )
-    counts = {
-        "urls_total": len(table),
-        "urls_filtered": len(filtered),
-        "success_threshold": threshold,
-        "urls_successful": sum(1 for r in filtered if r.successful),
-    }
-    return table, filtered, counts
+        filtered = metrics_mod.filter_urls(table, config.min_shares)
+        threshold = None
+        if len(filtered) >= 4:
+            threshold = stats_mod.success_threshold(
+                [r.retweets for r in filtered], config.success_quantile
+            )
+            metrics_mod.mark_successful(filtered, threshold)
+        else:
+            log.warning(
+                "only %d URL(s) above the share threshold; success marking skipped",
+                len(filtered),
+            )
+        counts = {
+            "urls_total": len(table),
+            "urls_filtered": len(filtered),
+            "success_threshold": threshold,
+            "urls_successful": sum(1 for r in filtered if r.successful),
+        }
+        return filtered, counts
 
 
 # ---------------------------------------------------------------------------
-# standalone stages
+# stages: each reads its inputs from the context and stores what it produces
 
 
-def stage_ingest(config: RunConfig) -> dict:
-    try:
-        records, report = _load_records(config)
-    except ToolkitError as exc:
-        raise _stage_error("ingest", exc) from exc
-    out = _out(config)
+def _ingest(ctx: RunContext) -> dict:
+    records, report = ctx.tweets
     counts = report.as_dict()
     counts["retweet_records"] = sum(1 for r in records if r.is_retweet)
     counts["original_records"] = report.parsed - counts["retweet_records"]
-    _write_json(counts, out / "parse_report.json")
+    _write_json(counts, ctx.out / "parse_report.json")
     return counts
 
 
-def stage_graph(config: RunConfig) -> dict:
-    try:
-        records, _ = _load_records(config)
-        graph = _build_graph(records)
-    except ToolkitError as exc:
-        raise _stage_error("graph", exc) from exc
-    out = _out(config)
-    graph_mod.save_graph(graph, out / "nodes.csv", out / "edges.csv")
-    summary = graph_mod.degree_stats(graph).summary()
+def _graph(ctx: RunContext) -> dict:
+    records, _ = ctx.tweets
+    graph = graph_mod.build_retweet_graph(records)
+    if graph.n_edges == 0:
+        raise DomainError("edgeless graph: no retweet records to build links from")
+    ctx.graph = graph
+    graph_mod.save_graph(graph, ctx.out / "nodes.csv", ctx.out / "edges.csv")
     counts = {
         "nodes": graph.n_nodes,
         "edges": graph.n_edges,
         "total_weight": graph.total_weight,
         "self_retweets_skipped": graph.self_retweets_skipped,
-        "degree_summary": summary,
+        "degree_summary": graph_mod.degree_stats(graph).summary(),
     }
-    _write_json(counts, out / "graph_report.json")
+    _write_json(counts, ctx.out / "graph_report.json")
     return counts
 
 
-def stage_communities(config: RunConfig) -> dict:
-    try:
-        graph = _load_graph_cache(config)
-        counts = _communities_core(config, graph)
-    except ToolkitError as exc:
-        raise _stage_error("communities", exc) from exc
-    return counts
-
-
-def _communities_core(config: RunConfig, graph: graph_mod.RetweetGraph) -> dict:
-    undirected = graph_mod.to_undirected(graph)
-    partition = community_mod.louvain(undirected, config.louvain_seed)
-    out = _out(config)
-    community_mod.save_partition(partition, graph.nodes, out / "partition.csv")
+def _communities(ctx: RunContext) -> dict:
+    config = ctx.config
+    graph = ctx.graph
+    partition = community_mod.louvain(graph_mod.to_undirected(graph), config.louvain_seed)
+    ctx.partition = partition
+    community_mod.save_partition(partition, graph.nodes, ctx.out / "partition.csv")
     names = community_mod.community_names(partition, config.top_k)
     sizes = partition.sizes()
-    with open(out / "communities.csv", "w", newline="", encoding="utf-8") as fh:
+    with open(ctx.out / "communities.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["community_label", "name", "size", "internal_link_density"])
         for label in community_mod.top_community_labels(partition):
@@ -455,129 +421,83 @@ def _communities_core(config: RunConfig, graph: graph_mod.RetweetGraph) -> dict:
         "top_sizes": [int(sizes[label]) for label in
                       community_mod.top_community_labels(partition, config.top_k)],
     }
-    _write_json(counts, out / "communities_report.json")
+    _write_json(counts, ctx.out / "communities_report.json")
     return counts
 
 
-def stage_scores(config: RunConfig) -> dict:
-    try:
-        records, _ = _load_records(config)
-        graph = _load_graph_cache(config)
-        profiles, _, counts = _compute_profiles(config, records, graph.nodes)
-    except ToolkitError as exc:
-        raise _stage_error("scores", exc) from exc
-    _write_user_scores(_out(config) / "user_scores.csv", profiles, graph.nodes)
-    _write_json(counts, _out(config) / "scores_report.json")
+def _scores(ctx: RunContext) -> dict:
+    config = ctx.config
+    records, _ = ctx.tweets
+    nodes = ctx.graph.nodes
+    catalog = load_source_catalog(
+        _require(config, "unreliable_sources"), _require(config, "reliable_sources")
+    )
+    tallies = metrics_mod.user_tallies(records, catalog)
+    bot_table, unavailable = ctx.bot_scores
+    profiles = metrics_mod.build_profiles(tallies, nodes, bot_table)
+    ctx.profiles = profiles
+    _write_user_scores(ctx.out / "user_scores.csv", profiles, nodes)
+    counts = {
+        "scored_users": len(profiles),
+        "catalog_unreliable_domains": len(catalog.unreliable),
+        "catalog_reliable_domains": len(catalog.reliable),
+        "bot_scores_available": sum(1 for p in profiles.values() if p.bot_score is not None),
+        "bot_scores_unavailable": unavailable,
+        "max_catalog_tweets": max((p.total for p in profiles.values()), default=0),
+    }
+    _write_json(counts, ctx.out / "scores_report.json")
     return counts
 
 
-def stage_urls(config: RunConfig) -> dict:
-    try:
-        records, _ = _load_records(config)
-        graph = _load_graph_cache(config)
-        partition = _load_partition_cache(config, graph.nodes)
-        profiles = _load_user_scores(config, graph.nodes)
-        _, filtered, counts = _compute_url_table(config, records, partition, graph.nodes, profiles)
-    except ToolkitError as exc:
-        raise _stage_error("urls", exc) from exc
-    _write_url_outputs(config, filtered)
-    _write_json(counts, _out(config) / "urls_report.json")
-    return counts
-
-
-def _write_url_outputs(config: RunConfig, filtered: list[metrics_mod.UrlDiffusionRecord]) -> None:
-    out = _out(config)
-    metrics_mod.write_url_report(filtered, out / "url_report.csv")
+def _urls(ctx: RunContext) -> dict:
+    filtered, counts = ctx.url_table
+    metrics_mod.write_url_report(filtered, ctx.out / "url_report.csv")
     high_bs = [
         r
         for r in filtered
-        if r.avg_bs_ops is not None and r.avg_bs_ops > config.op_bs_cutoff
+        if r.avg_bs_ops is not None and r.avg_bs_ops > ctx.config.op_bs_cutoff
     ]
-    metrics_mod.write_url_report(high_bs, out / "url_report_high_bs_ops.csv")
-
-
-def stage_nulltest(config: RunConfig) -> dict:
-    try:
-        graph = _load_graph_cache(config)
-        partition = _load_partition_cache(config, graph.nodes)
-        profiles = _load_user_scores(config, graph.nodes)
-        counts = _nulltest_core(config, partition, profiles)
-    except ToolkitError as exc:
-        raise _stage_error("nulltest", exc) from exc
+    metrics_mod.write_url_report(high_bs, ctx.out / "url_report_high_bs_ops.csv")
+    _write_json(counts, ctx.out / "urls_report.json")
     return counts
 
 
-def _nulltest_core(
-    config: RunConfig,
-    partition: community_mod.Partition,
-    profiles: Mapping[int, UserProfile],
-) -> dict:
-    out = _out(config)
-    u_values = {idx: p.untrustworthiness for idx, p in profiles.items()}
-    report_u = stats_mod.null_model_report(
-        u_values,
-        partition,
-        n_reshuffles=config.n_reshuffles,
-        seed=config.null_seed,
-        top_k=config.top_k,
-    )
-    stats_mod.write_nulltest_csv(report_u, out / "nulltest_u.csv")
-    counts = {
-        "feature_u": [
-            {
-                "community": c.name,
-                "p_value": None if c.result is None else c.result.p_value,
-                "skipped": c.skipped,
-            }
-            for c in report_u
-        ]
-    }
+def _nulltest(ctx: RunContext) -> dict:
+    config = ctx.config
+    partition = ctx.partition
+    profiles = ctx.profiles
+    features = {"u": {idx: p.untrustworthiness for idx, p in profiles.items()}}
     bs_values = {
         idx: p.bot_score for idx, p in profiles.items() if p.bot_score is not None
     }
     if len(bs_values) >= 2:
-        report_bs = stats_mod.null_model_report(
-            bs_values,
+        features["bs"] = bs_values
+    counts = {}
+    for feature, values in features.items():
+        report = stats_mod.null_model_report(
+            values,
             partition,
             n_reshuffles=config.n_reshuffles,
             seed=config.null_seed,
             top_k=config.top_k,
         )
-        stats_mod.write_nulltest_csv(report_bs, out / "nulltest_bs.csv")
-        counts["feature_bs"] = [
+        stats_mod.write_nulltest_csv(report, ctx.out / f"nulltest_{feature}.csv")
+        counts[f"feature_{feature}"] = [
             {
                 "community": c.name,
                 "p_value": None if c.result is None else c.result.p_value,
                 "skipped": c.skipped,
             }
-            for c in report_bs
+            for c in report
         ]
-    _write_json(counts, out / "nulltest_report.json")
+    _write_json(counts, ctx.out / "nulltest_report.json")
     return counts
 
 
-def stage_curves(config: RunConfig) -> dict:
-    try:
-        records, _ = _load_records(config)
-        graph = _load_graph_cache(config)
-        partition = _load_partition_cache(config, graph.nodes)
-        profiles = _load_user_scores(config, graph.nodes)
-        _, filtered, url_counts = _compute_url_table(
-            config, records, partition, graph.nodes, profiles
-        )
-        counts = _curves_core(config, filtered, url_counts)
-    except ToolkitError as exc:
-        raise _stage_error("curves", exc) from exc
-    return counts
-
-
-def _curves_core(
-    config: RunConfig,
-    filtered: list[metrics_mod.UrlDiffusionRecord],
-    url_counts: Mapping[str, Any],
-) -> dict:
-    out = _out(config)
-    threshold = url_counts.get("success_threshold")
+def _curves(ctx: RunContext) -> dict:
+    config = ctx.config
+    filtered, url_counts = ctx.url_table
+    threshold = url_counts["success_threshold"]
     if threshold is None:
         raise DomainError(
             "success threshold unavailable (fewer than 4 URLs above the share threshold)"
@@ -593,6 +513,7 @@ def _curves_core(
                 n_points=config.curve_points,
             )
         )
+    out = ctx.out
     stats_mod.write_curves_csv(curve_sets, out / "curves.csv", zero_fill=False)
     stats_mod.write_curves_csv(curve_sets, out / "curves_zero_filled.csv", zero_fill=True)
     with open(out / "curve_feature_hist.csv", "w", newline="", encoding="utf-8") as fh:
@@ -618,6 +539,32 @@ def _curves_core(
     return counts
 
 
+# The pipeline in run order; `all` runs every entry over one context.
+STAGES = {
+    "ingest": _ingest,
+    "graph": _graph,
+    "communities": _communities,
+    "scores": _scores,
+    "urls": _urls,
+    "nulltest": _nulltest,
+    "curves": _curves,
+}
+
+
+def _run(ctx: RunContext, name: str) -> dict:
+    try:
+        return STAGES[name](ctx)
+    except ToolkitError as exc:
+        wrapped = type(exc)(f"{name}: {exc}")
+        wrapped.exit_code = exc.exit_code
+        raise wrapped from exc
+
+
+def run_stage(config: RunConfig, name: str) -> dict:
+    """Run one stage standalone; its inputs come from the stage caches in out_dir."""
+    return _run(RunContext(config), name)
+
+
 def stage_synth(spec_path: Path, seed: int, out_dir: Path) -> dict:
     from rtscope.synth import SyntheticSpec, generate_synthetic
 
@@ -633,14 +580,11 @@ def stage_synth(spec_path: Path, seed: int, out_dir: Path) -> dict:
     return {name: str(path) for name, path in paths.items()}
 
 
-# ---------------------------------------------------------------------------
-# full pipeline
-
-
 def run_pipeline(config: RunConfig) -> dict:
-    """Run every stage in memory and write the manifest; deterministic end to end."""
+    """Run every stage over one in-memory context and write the manifest."""
     config.validate()
-    out = _out(config)
+    ctx = RunContext(config)
+    out = ctx.out
     manifest: dict[str, Any] = {"config": config.echo(), "stages": {}}
 
     inputs = {}
@@ -652,75 +596,21 @@ def run_pipeline(config: RunConfig) -> dict:
                 inputs[key] = {"name": path.name, "sha256": _sha256(path)}
     manifest["inputs"] = inputs
 
-    try:
-        records, report = _load_records(config)
-        ingest_counts = report.as_dict()
-        ingest_counts["retweet_records"] = sum(1 for r in records if r.is_retweet)
-        ingest_counts["original_records"] = report.parsed - ingest_counts["retweet_records"]
-        _write_json(ingest_counts, out / "parse_report.json")
-        manifest["stages"]["ingest"] = ingest_counts
-    except ToolkitError as exc:
-        raise _stage_error("ingest", exc) from exc
-
-    try:
-        graph = _build_graph(records)
-        graph_mod.save_graph(graph, out / "nodes.csv", out / "edges.csv")
-        graph_counts = {
-            "nodes": graph.n_nodes,
-            "edges": graph.n_edges,
-            "total_weight": graph.total_weight,
-            "self_retweets_skipped": graph.self_retweets_skipped,
-            "degree_summary": graph_mod.degree_stats(graph).summary(),
-        }
-        _write_json(graph_counts, out / "graph_report.json")
-        manifest["stages"]["graph"] = graph_counts
-    except ToolkitError as exc:
-        raise _stage_error("graph", exc) from exc
-
-    try:
-        manifest["stages"]["communities"] = _communities_core(config, graph)
-        partition = _load_partition_cache(config, graph.nodes)
-    except ToolkitError as exc:
-        raise _stage_error("communities", exc) from exc
-
-    try:
-        profiles, bot_table, score_counts = _compute_profiles(config, records, graph.nodes)
-        _write_user_scores(out / "user_scores.csv", profiles, graph.nodes)
-        _write_json(score_counts, out / "scores_report.json")
-        manifest["stages"]["scores"] = score_counts
-    except ToolkitError as exc:
-        raise _stage_error("scores", exc) from exc
-
-    try:
-        _, filtered, url_counts = _compute_url_table(
-            config, records, partition, graph.nodes, profiles, bot_table
-        )
-        _write_url_outputs(config, filtered)
-        _write_json(url_counts, out / "urls_report.json")
-        manifest["stages"]["urls"] = url_counts
-    except ToolkitError as exc:
-        raise _stage_error("urls", exc) from exc
-
-    try:
-        manifest["stages"]["nulltest"] = _nulltest_core(config, partition, profiles)
-    except ToolkitError as exc:
-        raise _stage_error("nulltest", exc) from exc
-
-    try:
-        manifest["stages"]["curves"] = _curves_core(config, filtered, url_counts)
-    except ToolkitError as exc:
-        raise _stage_error("curves", exc) from exc
+    for name in STAGES:
+        manifest["stages"][name] = _run(ctx, name)
 
     # Reconciliation: accepted records = retweet edges' weight + originals + skips.
+    graph = ctx.graph
+    parsed = ctx.tweets[1].parsed
     reconciled = (
         graph.total_weight
         + graph.self_retweets_skipped
         + manifest["stages"]["ingest"]["original_records"]
     )
     manifest["reconciliation"] = {
-        "parsed_records": report.parsed,
+        "parsed_records": parsed,
         "edge_weight_plus_originals_plus_skips": reconciled,
-        "consistent": reconciled == report.parsed,
+        "consistent": reconciled == parsed,
     }
     _write_json(manifest, out / "manifest.json")
     return manifest

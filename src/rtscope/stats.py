@@ -159,9 +159,6 @@ class CommunityComparison:
     n_null: int
     result: TestResult | None = None
     skipped: str | None = None
-    hist_edges: np.ndarray | None = None
-    hist_observed: np.ndarray | None = None
-    hist_null: np.ndarray | None = None
 
 
 def null_model_report(
@@ -171,7 +168,6 @@ def null_model_report(
     seed: int = 0,
     communities: Sequence[int] | None = None,
     top_k: int | None = 5,
-    bins: int = 30,
 ) -> list[CommunityComparison]:
     """Observed within-community scores against pooled size-preserving reshuffles.
 
@@ -220,11 +216,6 @@ def null_model_report(
         elif null.size < 2:
             comparison.skipped = "fewer than 2 null scores"
         else:
-            combined = np.concatenate([observed, null])
-            edges = np.histogram_bin_edges(combined, bins=bins)
-            comparison.hist_edges = edges
-            comparison.hist_observed = np.histogram(observed, bins=edges)[0]
-            comparison.hist_null = np.histogram(null, bins=edges)[0]
             try:
                 comparison.result = mann_whitney(observed.tolist(), null.tolist())
             except DegenerateInputError as exc:
@@ -362,19 +353,6 @@ def success_curves(
             curve.points.append(CurvePoint(x=float(x), probability=probability, n_conditioning=n_cond))
         curves[cls] = curve
     return curves
-
-
-def score_stability(
-    scores_a: Mapping[str, float] | Mapping[int, float],
-    scores_b: Mapping[str, float] | Mapping[int, float],
-    tol: float = 0.1,
-) -> float:
-    """Fraction of common users whose scores agree within ``tol`` across datasets."""
-    common = sorted(set(scores_a) & set(scores_b))
-    if not common:
-        raise DomainError("the two score maps share no users")
-    within = sum(1 for u in common if abs(scores_a[u] - scores_b[u]) <= tol)
-    return within / len(common)
 
 
 CURVE_COLUMNS = ["feature", "entropy_class", "x", "probability", "n_conditioning"]

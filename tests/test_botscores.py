@@ -1,11 +1,15 @@
 """Bot-score tables and the rate-limited scoring-service client."""
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
+import threading
 
 import pytest
+import requests
 
-from rtscope.errors import InputError, ProtocolError, ScoreUnavailableError
+from rtscope.errors import InputError, ProtocolError
 from rtscope.ingest.botscores import BotScoreClient, BotScoreTable, load_bot_scores
 
 
@@ -64,14 +68,14 @@ class _Response:
 
 
 class _ScriptedTransport:
-    """Plays back a scripted response sequence and records every request."""
+    """Plays back a scripted response sequence and records every request's full URL."""
 
     def __init__(self, script):
         self.script = list(script)
         self.calls: list[str] = []
 
-    def get(self, url, headers=None, timeout=None):
-        self.calls.append(url)
+    def get(self, url, params=None, headers=None, timeout=None):
+        self.calls.append(requests.Request("GET", url, params=params).prepare().url)
         item = self.script.pop(0)
         if isinstance(item, Exception):
             raise item
@@ -91,11 +95,11 @@ class _FakeClock:
         self.now += seconds
 
 
-def _client(tmp_path, script, **kwargs):
+def _client(tmp_path, script, endpoint="https://scores.example/api", **kwargs):
     clock = _FakeClock()
     transport = _ScriptedTransport(script)
     client = BotScoreClient(
-        endpoint="https://scores.example/api",
+        endpoint=endpoint,
         token="sekrit",
         cache_dir=tmp_path / "cache",
         transport=transport,
@@ -106,22 +110,76 @@ def _client(tmp_path, script, **kwargs):
     return client, transport, clock
 
 
+def _fetch(client, user_id):
+    """One user through ``fetch_into``; the score, or None when it was unavailable."""
+    table = BotScoreTable()
+    unavailable = client.fetch_into(table, [user_id])
+    assert unavailable == (0 if user_id in table else 1)
+    return table.get(user_id)
+
+
 class TestBotScoreClient:
     def test_fetch_and_cache_write_through(self, tmp_path):
         client, transport, _ = _client(tmp_path, [_Response(200, {"score": 0.42})])
-        assert client.fetch("u1") == 0.42
+        assert _fetch(client, "u1") == 0.42
         assert len(transport.calls) == 1
         assert "user_id=u1" in transport.calls[0]
         # second fetch is a cache hit: zero network calls
-        assert client.fetch("u1") == 0.42
+        assert _fetch(client, "u1") == 0.42
         assert len(transport.calls) == 1
 
     def test_cache_survives_new_client(self, tmp_path):
         client, _, _ = _client(tmp_path, [_Response(200, {"score": 0.1})])
-        client.fetch("u9")
+        _fetch(client, "u9")
         fresh, transport, _ = _client(tmp_path, [])
-        assert fresh.fetch("u9") == 0.1
+        assert _fetch(fresh, "u9") == 0.1
         assert transport.calls == []
+
+    def test_cache_entry_format(self, tmp_path):
+        client, _, clock = _client(tmp_path, [_Response(200, {"score": 0.42})])
+        _fetch(client, "u1")
+        files = list((tmp_path / "cache").iterdir())
+        assert [p.name for p in files] == [hashlib.sha1(b"u1").hexdigest() + ".json"]
+        assert json.loads(files[0].read_text(encoding="utf-8")) == {
+            "user_id": "u1", "score": 0.42, "fetched_at": int(clock.now)
+        }
+
+    def test_concurrent_cache_writes_do_not_collide(self, tmp_path):
+        # Clients sharing a cache dir write the same user's entry at once;
+        # every write must land whole, with no temp file left behind.
+        clients = [_client(tmp_path, [])[0] for _ in range(8)]
+        errors: list[BaseException] = []
+
+        def hammer(client, score):
+            try:
+                for _ in range(50):
+                    client._cache_put("u1", score, fetched_at=1)
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(c, i / 10)) for i, c in enumerate(clients)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert errors == []
+        assert [p.suffix for p in (tmp_path / "cache").iterdir()] == [".json"]
+        assert _fetch(clients[0], "u1") in {i / 10 for i in range(8)}
+
+    def test_user_id_is_one_query_parameter(self, tmp_path):
+        client, transport, _ = _client(
+            tmp_path, [_Response(200, 0.5)], endpoint="http://svc/score?v=2"
+        )
+        assert _fetch(client, "a&user_id=evil#x") == 0.5
+        assert transport.calls == ["http://svc/score?v=2&user_id=a%26user_id%3Devil%23x"]
 
     def test_zero_score_stored(self, tmp_path):
         client, _, _ = _client(tmp_path, [_Response(200, 0.0)])
@@ -140,7 +198,7 @@ class TestBotScoreClient:
             backoff_base=0.5,
             requests_per_minute=6000.0,
         )
-        assert client.fetch("u2") == 0.8
+        assert _fetch(client, "u2") == 0.8
         assert len(transport.calls) == 3
         assert clock.sleeps == [0.5, 1.0]
 
@@ -148,24 +206,23 @@ class TestBotScoreClient:
         client, transport, _ = _client(
             tmp_path, [_Response(503)] * 3, max_retries=2, backoff_base=0.01
         )
-        with pytest.raises(ScoreUnavailableError):
-            client.fetch("u3")
+        assert _fetch(client, "u3") is None
         assert len(transport.calls) == 3
 
     def test_out_of_range_payload_is_protocol_error(self, tmp_path):
         client, _, _ = _client(tmp_path, [_Response(200, {"score": 1.7})])
         with pytest.raises(ProtocolError):
-            client.fetch("u4")
+            _fetch(client, "u4")
 
     def test_non_numeric_payload_is_protocol_error(self, tmp_path):
         client, _, _ = _client(tmp_path, [_Response(200, {"score": "high"})])
         with pytest.raises(ProtocolError):
-            client.fetch("u5")
+            _fetch(client, "u5")
 
     def test_unexpected_status_is_protocol_error(self, tmp_path):
         client, _, _ = _client(tmp_path, [_Response(404)])
         with pytest.raises(ProtocolError):
-            client.fetch("u6")
+            _fetch(client, "u6")
 
     def test_rate_limit_spacing(self, tmp_path):
         client, _, clock = _client(
@@ -173,8 +230,8 @@ class TestBotScoreClient:
             [_Response(200, {"score": 0.1}), _Response(200, {"score": 0.2})],
             requests_per_minute=30.0,  # 2s minimum spacing
         )
-        client.fetch("a")
-        client.fetch("b")
+        _fetch(client, "a")
+        _fetch(client, "b")
         assert any(abs(s - 2.0) < 1e-9 for s in clock.sleeps)
 
     def test_network_errors_retry_then_give_up(self, tmp_path):
@@ -184,8 +241,7 @@ class TestBotScoreClient:
             max_retries=2,
             backoff_base=0.01,
         )
-        with pytest.raises(ScoreUnavailableError):
-            client.fetch("u7")
+        assert _fetch(client, "u7") is None
         assert len(transport.calls) == 3
 
     def test_fetch_into_counts_unavailable(self, tmp_path):
@@ -207,7 +263,7 @@ class TestBotScoreClient:
             [_Response(200, {"score": s}) for s in (0.0, 0.25, 1.0)],
         )
         for i, expected in enumerate((0.0, 0.25, 1.0)):
-            assert client.fetch(f"u{i}") == expected
+            assert _fetch(client, f"u{i}") == expected
         for entry in (tmp_path / "cache").glob("*.json"):
             score = json.loads(entry.read_text())["score"]
             assert 0.0 <= score <= 1.0

@@ -208,3 +208,20 @@ class TestPartitionHelpers:
             tuple(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)
         }
         assert groups(loaded.labels) == groups(p.labels)
+
+    def test_load_relabels_in_first_seen_order(self, tmp_path):
+        rng = np.random.default_rng(0)
+        nodes = NodeTable()
+        for i in range(200):
+            nodes.intern(f"u{i}")
+        raw = (rng.integers(0, 100, size=200) * 7919).tolist()  # sparse, repeated labels
+        path = tmp_path / "part.csv"
+        path.write_text(
+            "author_id,community_label\n" + "".join(f"u{i},{c}\n" for i, c in enumerate(raw)),
+            encoding="utf-8",
+        )
+        canon: dict[int, int] = {}
+        expected = [canon.setdefault(c, len(canon)) for c in raw]  # loop reference
+        loaded = load_partition(path, nodes)
+        assert loaded.labels.tolist() == expected
+        assert loaded.n_communities == len(canon)

@@ -19,14 +19,11 @@ from rtscope.ingest.records import TweetRecord
 from rtscope.ingest.urls import normalize_url
 from rtscope.metrics import (
     EntropyClass,
-    aggregate_url,
     build_url_table,
     entropy,
     entropy_class,
     filter_urls,
-    identify_ops,
     mark_successful,
-    share_vector,
     untrustworthiness,
     untrustworthiness_printed_form,
     user_tallies,
@@ -242,40 +239,47 @@ def _profile(idx, u):
     )
 
 
+def _url_row(url, records, partition, nodes, profiles=None, bots=None):
+    """The ``build_url_table`` record of ``url`` (by canonical form), or None if unseen."""
+    table = build_url_table(records, partition, nodes, profiles or {}, bots)
+    by_canonical = {r.url.canonical: r for r in table}
+    return by_canonical.get(normalize_url(url).canonical)
+
+
 class TestShareVectorAndOps:
     def test_bucketing(self):
         nodes, partition, records, *_ , url = _fixture()
-        shares = share_vector(normalize_url(url), records, partition, nodes)
+        shares = _url_row(url, records, partition, nodes).shares_by_community
         # op1, r1 (x2), r2 in community 0; op2, r3, r4 in community 1
         assert shares == {0: 4, 1: 3}
 
     def test_never_shared(self):
         nodes, partition, records, *_ = _fixture()
-        assert share_vector(normalize_url("unseen.example/x"), records, partition, nodes) == {}
+        assert _url_row("unseen.example/x", records, partition, nodes) is None
 
     def test_author_missing_from_partition(self):
         nodes, partition, records, *_ , url = _fixture()
         stranger = [_orig("t99", "stranger", [url])]
         with pytest.raises(DataIntegrityError) as err:
-            share_vector(normalize_url(url), records + stranger, partition, nodes)
+            _url_row(url, records + stranger, partition, nodes)
         assert "stranger" in str(err.value)
 
     def test_ops_are_non_retweet_authors(self):
-        nodes, _, records, *_ , url = _fixture()
-        ops = identify_ops(normalize_url(url), records, nodes)
+        nodes, partition, records, *_ , url = _fixture()
+        ops = _url_row(url, records, partition, nodes).ops
         assert ops == {nodes.index("op1"), nodes.index("op2")}
 
     def test_url_only_in_retweets_has_no_ops(self):
-        nodes, _, records, *_ = _fixture()
+        nodes, partition, records, *_ = _fixture()
         orphan = [_rt("t50", "r1", "op1", ["orphan.example/only-rt"])]
-        ops = identify_ops(normalize_url("orphan.example/only-rt"), records + orphan, nodes)
+        ops = _url_row("orphan.example/only-rt", records + orphan, partition, nodes).ops
         assert ops == set()
 
 
 class TestAggregateUrl:
     def test_fixture_fields(self):
         nodes, partition, records, profiles, bots, url = _fixture()
-        rec = aggregate_url(normalize_url(url), records, partition, nodes, profiles, bots)
+        rec = _url_row(url, records, partition, nodes, profiles, bots)
         assert rec.total_shares == 7
         assert rec.retweets == 5
         assert rec.ops == {nodes.index("op1"), nodes.index("op2")}
@@ -289,7 +293,7 @@ class TestAggregateUrl:
 
     def test_no_scores_means_absent(self):
         nodes, partition, records, _, _, url = _fixture()
-        rec = aggregate_url(normalize_url(url), records, partition, nodes, {}, None)
+        rec = _url_row(url, records, partition, nodes, {}, None)
         assert rec.avg_u_retweeters is None
         assert rec.avg_bs_retweeters is None
 
@@ -297,14 +301,17 @@ class TestAggregateUrl:
         nodes, partition, records, profiles, bots, url = _fixture()
         # retweeters with U {0.1, 0.3} only: drop r4's record
         trimmed = [r for r in records if r.tweet_id != "t6"]
-        rec = aggregate_url(normalize_url(url), trimmed, partition, nodes, profiles, bots)
+        rec = _url_row(url, trimmed, partition, nodes, profiles, bots)
         assert rec.avg_u_retweeters == pytest.approx(0.2)
 
     def test_bulk_table_matches_single_url_path(self):
+        # A URL's row does not depend on the other URLs in the table: the
+        # table over only the records carrying it gives the same row.
         nodes, partition, records, profiles, bots, url = _fixture()
         table = build_url_table(records, partition, nodes, profiles, bots)
         by_canonical = {r.url.canonical: r for r in table}
-        single = aggregate_url(normalize_url(url), records, partition, nodes, profiles, bots)
+        carrying = [r for r in records if any(url in raw for raw in r.urls)]
+        single = _url_row(url, carrying, partition, nodes, profiles, bots)
         assert by_canonical[single.url.canonical] == single
         assert set(by_canonical) == {"news.example/story", "other.example/x"}
 

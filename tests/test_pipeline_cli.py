@@ -3,24 +3,24 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rtscope
 from rtscope import cli
 from rtscope.errors import ConfigError
 from rtscope.pipeline import (
+    STAGES,
     RunConfig,
     config_from_sources,
     load_config_file,
     run_pipeline,
-    stage_communities,
-    stage_curves,
-    stage_graph,
-    stage_ingest,
-    stage_nulltest,
-    stage_scores,
-    stage_urls,
+    run_stage,
 )
 from rtscope.synth import SyntheticSpec, UrlCascadePlan, generate_synthetic
 
@@ -135,20 +135,13 @@ class TestRunPipeline:
         config_full = _config(fixture_dir, tmp_path / "full")
         run_pipeline(config_full)
         config_stage = _config(fixture_dir, tmp_path / "staged")
-        stage_ingest(config_stage)
-        stage_graph(config_stage)
-        stage_communities(config_stage)
-        stage_scores(config_stage)
-        stage_urls(config_stage)
-        stage_nulltest(config_stage)
-        stage_curves(config_stage)
-        for name in (
-            "partition.csv",
-            "user_scores.csv",
-            "url_report.csv",
-            "nulltest_u.csv",
-            "curves.csv",
-        ):
+        for name in STAGES:
+            run_stage(config_stage, name)
+        staged = sorted(p.name for p in (tmp_path / "staged").iterdir())
+        full = sorted(p.name for p in (tmp_path / "full").iterdir())
+        assert set(full) - set(staged) == {"manifest.json"}
+        assert set(staged) < set(full)
+        for name in staged:
             assert (tmp_path / "staged" / name).read_bytes() == (
                 tmp_path / "full" / name
             ).read_bytes(), name
@@ -179,6 +172,57 @@ class TestRunPipeline:
                 assert zrow[3] == "0.0" and row[4] == "0"
             else:
                 assert row == zrow
+
+
+def _corrupt_second_line(path: Path, field: int, value: str | None) -> None:
+    """Replace one field of the first data row, or with value None cut the row to one field."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = lines[1].rstrip("\n").split(",")
+    lines[1] = (row[0] if value is None else ",".join(row[:field] + [value] + row[field + 1:])) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def full_run_dir(fixture_dir, tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("cached")
+    run_pipeline(_config(fixture_dir, out))
+    return out
+
+
+class TestCorruptStageCache:
+    @pytest.mark.parametrize(
+        "stage, cache_file, field, value",
+        [
+            ("nulltest", "user_scores.csv", 4, "not-a-float"),
+            ("nulltest", "partition.csv", 1, "not-an-int"),
+            ("communities", "nodes.csv", 0, None),
+            ("communities", "edges.csv", 2, "not-an-int"),
+        ],
+    )
+    def test_corrupt_cache_exits_2_without_traceback(
+        self, fixture_dir, full_run_dir, tmp_path, stage, cache_file, field, value
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(full_run_dir, out)
+        _corrupt_second_line(out / cache_file, field, value)
+        env = dict(os.environ, PYTHONPATH=str(Path(rtscope.__file__).parents[1]))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "rtscope.cli", stage,
+                "--tweets", str(fixture_dir / "tweets.jsonl"),
+                "--unreliable-sources", str(fixture_dir / "sources_unreliable.txt"),
+                "--reliable-sources", str(fixture_dir / "sources_reliable.txt"),
+                "--n-reshuffles", "5",
+                "-o", str(out),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{cache_file}:2:" in proc.stderr
 
 
 class TestConfig:

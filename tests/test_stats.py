@@ -18,7 +18,6 @@ from rtscope.stats import (
     METHOD_NORMAL,
     conditional_success,
     mann_whitney,
-    score_stability,
     success_curves,
     success_threshold,
 )
@@ -281,23 +280,3 @@ class TestSuccessCurves:
     def test_decreasing_grid_rejected(self):
         with pytest.raises(DomainError):
             success_curves([_url_record(0, 5, avg_bs_ops=0.5)], "bs", t=1, xs=[0.5, 0.1])
-
-
-class TestScoreStability:
-    def test_identical_maps(self):
-        scores = {"a": 0.1, "b": 0.9}
-        assert score_stability(scores, dict(scores)) == 1.0
-
-    def test_disjoint_maps_rejected(self):
-        with pytest.raises(DomainError):
-            score_stability({"a": 0.1}, {"b": 0.2})
-
-    def test_three_of_four_within_tolerance(self):
-        a = {"u1": 0.10, "u2": 0.50, "u3": 0.90, "u4": 0.00}
-        b = {"u1": 0.15, "u2": 0.45, "u3": 0.99, "u4": 0.30}
-        assert score_stability(a, b, tol=0.1) == pytest.approx(0.75)
-
-    def test_extra_users_ignored(self):
-        a = {"u1": 0.1, "zz": 0.5}
-        b = {"u1": 0.1, "yy": 0.5}
-        assert score_stability(a, b) == 1.0

@@ -9,7 +9,7 @@ import pytest
 from rtscope.errors import ConfigError
 from rtscope.graph import build_retweet_graph, to_undirected
 from rtscope.ingest.records import read_tweet_file
-from rtscope.metrics import build_profiles, entropy, share_vector, user_tallies
+from rtscope.metrics import build_profiles, build_url_table, entropy, user_tallies
 from rtscope.ingest.urls import normalize_url
 from rtscope.synth import SyntheticSpec, UrlCascadePlan, build_synthetic, generate_synthetic
 
@@ -86,8 +86,9 @@ class TestGeneratedStructure:
         records = list(dataset.iter_records())
         nodes = dataset.node_table()
         partition = dataset.partition()
+        table = {r.url.canonical: r for r in build_url_table(records, partition, nodes, {})}
         for truth in dataset.url_truth:
-            shares = share_vector(normalize_url(truth.url), records, partition, nodes)
+            shares = table[normalize_url(truth.url).canonical].shares_by_community
             assert set(shares) == {0}
             assert entropy(shares) == 0.0
 
@@ -98,8 +99,9 @@ class TestGeneratedStructure:
         records = list(dataset.iter_records())
         nodes = dataset.node_table()
         partition = dataset.partition()
+        table = {r.url.canonical: r for r in build_url_table(records, partition, nodes, {})}
         for truth in dataset.url_truth:
-            shares = share_vector(normalize_url(truth.url), records, partition, nodes)
+            shares = table[normalize_url(truth.url).canonical].shares_by_community
             assert set(shares) == set(truth.communities)
 
     def test_planted_rate_recovered_within_binomial_ci(self):
