@@ -35,9 +35,6 @@ class Partition:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_communities)
 
-    def members(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == label)
-
 
 def modularity(g: UndirectedGraph, labels: Sequence[int] | np.ndarray) -> float:
     """Newman-Girvan weighted modularity of a labeling.

@@ -56,18 +56,26 @@ class NodeTable:
 
 
 class RetweetGraph:
-    """Directed multigraph collapsed to integer edge weights; no self-loops."""
+    """Directed multigraph collapsed to integer edge weights; no self-loops.
 
-    __slots__ = ("nodes", "weights", "self_retweets_skipped")
+    Edges are sorted COO arrays: ``src``, ``dst`` and ``weight`` are int64,
+    ordered by ``(src, dst)`` with each pair at most once.
+    """
+
+    __slots__ = ("nodes", "src", "dst", "weight", "self_retweets_skipped")
 
     def __init__(
         self,
-        nodes: NodeTable | None = None,
-        weights: dict[tuple[int, int], int] | None = None,
+        nodes: NodeTable,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weight: np.ndarray,
         self_retweets_skipped: int = 0,
     ) -> None:
-        self.nodes = nodes if nodes is not None else NodeTable()
-        self.weights = weights if weights is not None else {}
+        self.nodes = nodes
+        self.src = src
+        self.dst = dst
+        self.weight = weight
         self.self_retweets_skipped = self_retweets_skipped
 
     @property
@@ -76,11 +84,32 @@ class RetweetGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.weights)
+        return int(self.src.size)
 
     @property
     def total_weight(self) -> int:
-        return sum(self.weights.values())
+        return int(self.weight.sum())
+
+
+# A node pair (s, t) is keyed s << 32 | t: keys sort as the pairs do, and node
+# indices stay far below 2**31.
+_KEY_BITS = 32
+
+
+def _split_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return keys >> _KEY_BITS, keys & ((1 << _KEY_BITS) - 1)
+
+
+def _sorted_graph(
+    nodes: NodeTable, weights: dict[int, int], self_retweets_skipped: int = 0
+) -> RetweetGraph:
+    """Turn a ``pair key -> weight`` accumulator into the sorted edge arrays."""
+    n = len(weights)
+    keys = np.fromiter(weights, dtype=np.int64, count=n)
+    weight = np.fromiter(weights.values(), dtype=np.int64, count=n)
+    order = np.argsort(keys)
+    src, dst = _split_keys(keys[order])
+    return RetweetGraph(nodes, src, dst, weight[order], self_retweets_skipped)
 
 
 def build_retweet_graph(tweets: Iterable[TweetRecord]) -> RetweetGraph:
@@ -91,7 +120,7 @@ def build_retweet_graph(tweets: Iterable[TweetRecord]) -> RetweetGraph:
     order. Self-retweets are skipped and tallied.
     """
     nodes = NodeTable()
-    weights: dict[tuple[int, int], int] = {}
+    weights: dict[int, int] = {}
     skipped = 0
     intern = nodes.intern
     get_weight = weights.get
@@ -103,28 +132,50 @@ def build_retweet_graph(tweets: Iterable[TweetRecord]) -> RetweetGraph:
         if source == target:
             skipped += 1
             continue
-        key = (source, target)
+        key = source << _KEY_BITS | target
         weights[key] = get_weight(key, 0) + 1
-    return RetweetGraph(nodes=nodes, weights=weights, self_retweets_skipped=skipped)
+    return _sorted_graph(nodes, weights, skipped)
 
 
 class UndirectedGraph:
-    """Undirected weighted projection stored as CSR plus a unique-pair edge list."""
+    """Undirected weighted projection stored as CSR plus a unique-pair edge list.
+
+    ``UndirectedGraph(nodes, {(u, v): w})`` builds it from a pair mapping;
+    ``to_undirected`` builds it from edge arrays already sorted by ``(u, v)``.
+    """
 
     __slots__ = ("nodes", "indptr", "nbr", "wgt", "strength", "eu", "ev", "ew", "total_weight")
 
     def __init__(self, nodes: NodeTable, pair_weights: Mapping[tuple[int, int], float]) -> None:
-        self.nodes = nodes
-        n = len(nodes)
         # Sort pairs so downstream float accumulation never depends on dict order.
         pairs = sorted(pair_weights.items())
         n_pairs = len(pairs)
-        self.eu = np.fromiter((p[0][0] for p in pairs), dtype=np.int64, count=n_pairs)
-        self.ev = np.fromiter((p[0][1] for p in pairs), dtype=np.int64, count=n_pairs)
-        self.ew = np.fromiter((p[1] for p in pairs), dtype=np.float64, count=n_pairs)
-        src = np.concatenate([self.eu, self.ev])
-        dst = np.concatenate([self.ev, self.eu])
-        wgt = np.concatenate([self.ew, self.ew])
+        self._set_edges(
+            nodes,
+            np.fromiter((p[0][0] for p in pairs), dtype=np.int64, count=n_pairs),
+            np.fromiter((p[0][1] for p in pairs), dtype=np.int64, count=n_pairs),
+            np.fromiter((p[1] for p in pairs), dtype=np.float64, count=n_pairs),
+        )
+
+    @classmethod
+    def _from_edges(
+        cls, nodes: NodeTable, eu: np.ndarray, ev: np.ndarray, ew: np.ndarray
+    ) -> "UndirectedGraph":
+        graph = cls.__new__(cls)
+        graph._set_edges(nodes, eu, ev, ew)
+        return graph
+
+    def _set_edges(
+        self, nodes: NodeTable, eu: np.ndarray, ev: np.ndarray, ew: np.ndarray
+    ) -> None:
+        self.nodes = nodes
+        n = len(nodes)
+        self.eu = eu
+        self.ev = ev
+        self.ew = ew
+        src = np.concatenate([eu, ev])
+        dst = np.concatenate([ev, eu])
+        wgt = np.concatenate([ew, ew])
         order = np.lexsort((dst, src))
         counts = np.bincount(src, minlength=n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
@@ -132,7 +183,7 @@ class UndirectedGraph:
         self.nbr = dst[order]
         self.wgt = wgt[order]
         self.strength = np.bincount(src, weights=wgt, minlength=n)
-        self.total_weight = float(self.ew.sum())
+        self.total_weight = float(ew.sum())
 
     @property
     def n_nodes(self) -> int:
@@ -154,21 +205,29 @@ class UndirectedGraph:
 
 def to_undirected(g: RetweetGraph) -> UndirectedGraph:
     """Sum the two directed weights per unordered pair; the node table is shared."""
-    pair: dict[tuple[int, int], float] = {}
-    for (s, t), w in g.weights.items():
-        key = (s, t) if s < t else (t, s)
-        pair[key] = pair.get(key, 0.0) + w
-    return UndirectedGraph(g.nodes, pair)
+    pair_key = np.minimum(g.src, g.dst) << _KEY_BITS | np.maximum(g.src, g.dst)
+    keys, pair_of_edge = np.unique(pair_key, return_inverse=True)
+    ew = np.bincount(pair_of_edge, weights=g.weight, minlength=keys.size)
+    return UndirectedGraph._from_edges(g.nodes, *_split_keys(keys), ew)
 
 
-def internal_link_density(g: RetweetGraph, members: Iterable[int]) -> float:
-    """Directed edges inside ``members`` over the |M|*(|M|-1) possible ones."""
-    member_set = set(int(m) for m in members)
-    size = len(member_set)
-    if size < 2:
-        raise DomainError("internal_link_density needs at least 2 members")
-    internal = sum(1 for (s, t) in g.weights if s in member_set and t in member_set)
-    return internal / (size * (size - 1))
+def internal_link_density(g: RetweetGraph, labels: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Each community's directed internal edges over its |C|*(|C|-1) possible ones.
+
+    ``labels`` gives every node's community label. The result is indexed by
+    label, with NaN for a community of fewer than 2 members.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (g.n_nodes,):
+        raise DomainError(f"labeling covers {labels.size} nodes, graph has {g.n_nodes}")
+    n_comm = int(labels.max()) + 1 if labels.size else 0
+    sizes = np.bincount(labels, minlength=n_comm)
+    src_label = labels[g.src]
+    internal = np.bincount(src_label[src_label == labels[g.dst]], minlength=n_comm)
+    density = np.full(n_comm, np.nan)
+    paired = sizes >= 2
+    density[paired] = internal[paired] / (sizes[paired] * (sizes[paired] - 1))
+    return density
 
 
 @dataclass
@@ -199,16 +258,13 @@ class DegreeStats:
 
 def degree_stats(g: RetweetGraph) -> DegreeStats:
     n = g.n_nodes
-    in_deg = np.zeros(n, dtype=np.int64)
-    out_deg = np.zeros(n, dtype=np.int64)
-    in_str = np.zeros(n, dtype=np.int64)
-    out_str = np.zeros(n, dtype=np.int64)
-    for (s, t), w in g.weights.items():
-        out_deg[s] += 1
-        in_deg[t] += 1
-        out_str[s] += w
-        in_str[t] += w
-    return DegreeStats(in_degree=in_deg, out_degree=out_deg, in_strength=in_str, out_strength=out_str)
+    # Float bincount sums of integer weights are exact below 2**53.
+    return DegreeStats(
+        in_degree=np.bincount(g.dst, minlength=n),
+        out_degree=np.bincount(g.src, minlength=n),
+        in_strength=np.bincount(g.dst, weights=g.weight, minlength=n).astype(np.int64),
+        out_strength=np.bincount(g.src, weights=g.weight, minlength=n).astype(np.int64),
+    )
 
 
 def save_graph(g: RetweetGraph, nodes_path: Path | str, edges_path: Path | str) -> None:
@@ -221,8 +277,7 @@ def save_graph(g: RetweetGraph, nodes_path: Path | str, edges_path: Path | str) 
     with open(edges_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["src_index", "dst_index", "weight"])
-        for (s, t) in sorted(g.weights):
-            writer.writerow([s, t, g.weights[(s, t)]])
+        writer.writerows(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()))
 
 
 def load_graph(nodes_path: Path | str, edges_path: Path | str) -> RetweetGraph:
@@ -244,7 +299,7 @@ def load_graph(nodes_path: Path | str, edges_path: Path | str) -> RetweetGraph:
     except OSError as exc:
         raise InputError(f"cannot read node table {nodes_path}: {exc}") from exc
 
-    weights: dict[tuple[int, int], int] = {}
+    weights: dict[int, int] = {}
     try:
         with open(edges_path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -255,12 +310,21 @@ def load_graph(nodes_path: Path | str, edges_path: Path | str) -> RetweetGraph:
                 for row in reader:
                     s, t, w = int(row[0]), int(row[1]), int(row[2])
                     if not (0 <= s < len(nodes) and 0 <= t < len(nodes)):
-                        raise InputError(f"{edges_path}: edge ({s},{t}) outside node table")
+                        raise InputError(
+                            f"{edges_path}:{reader.line_num}: edge ({s},{t}) outside node table"
+                        )
                     if s == t or w < 1:
-                        raise InputError(f"{edges_path}: invalid edge ({s},{t},{w})")
-                    weights[(s, t)] = w
+                        raise InputError(
+                            f"{edges_path}:{reader.line_num}: invalid edge ({s},{t},{w})"
+                        )
+                    key = s << _KEY_BITS | t
+                    if key in weights:
+                        raise InputError(
+                            f"{edges_path}:{reader.line_num}: duplicate edge ({s},{t})"
+                        )
+                    weights[key] = w
             except (ValueError, IndexError) as exc:
                 raise InputError(f"{edges_path}:{reader.line_num}: malformed row: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read edge list {edges_path}: {exc}") from exc
-    return RetweetGraph(nodes=nodes, weights=weights)
+    return _sorted_graph(nodes, weights)

@@ -228,6 +228,13 @@ def _write_user_scores(
             )
 
 
+def _unit_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also refuses nan
+        raise ValueError(f"{text!r} is not in [0, 1]")
+    return value
+
+
 def _load_user_scores(path: Path, nodes: graph_mod.NodeTable) -> dict[int, UserProfile]:
     if not path.exists():
         raise InputError("user_scores.csv not found; run the 'scores' stage first")
@@ -247,9 +254,9 @@ def _load_user_scores(path: Path, nodes: graph_mod.NodeTable) -> dict[int, UserP
                     total=int(row[1]),
                     unreliable=int(row[2]),
                     reliable=int(row[3]),
-                    ratio=float(row[4]),
-                    untrustworthiness=float(row[5]),
-                    bot_score=float(row[6]) if row[6] else None,
+                    ratio=_unit_float(row[4]),
+                    untrustworthiness=_unit_float(row[5]),
+                    bot_score=_unit_float(row[6]) if row[6] else None,
                 )
         except (ValueError, IndexError) as exc:
             raise InputError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
@@ -403,17 +410,13 @@ def _communities(ctx: RunContext) -> dict:
     community_mod.save_partition(partition, graph.nodes, ctx.out / "partition.csv")
     names = community_mod.community_names(partition, config.top_k)
     sizes = partition.sizes()
+    density = graph_mod.internal_link_density(graph, partition.labels)
     with open(ctx.out / "communities.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["community_label", "name", "size", "internal_link_density"])
         for label in community_mod.top_community_labels(partition):
-            members = partition.members(label)
-            density = (
-                graph_mod.internal_link_density(graph, members) if members.size >= 2 else ""
-            )
-            writer.writerow(
-                [label, names[label], int(sizes[label]), repr(density) if density != "" else ""]
-            )
+            cell = "" if np.isnan(density[label]) else repr(float(density[label]))
+            writer.writerow([label, names[label], int(sizes[label]), cell])
     counts = {
         "n_communities": partition.n_communities,
         "modularity": partition.modularity,

@@ -32,6 +32,11 @@ def _orig(tweet_id, author, ts=0, urls=()):
     return TweetRecord(tweet_id=tweet_id, author_id=author, timestamp=ts, urls=tuple(urls))
 
 
+def _edge_weights(g):
+    """The graph's sorted edge arrays as a ``(src, dst) -> weight`` mapping."""
+    return dict(zip(zip(g.src.tolist(), g.dst.tolist()), g.weight.tolist()))
+
+
 def _random_records(rng: random.Random, n_users=30, n_records=200):
     records = []
     for i in range(n_records):
@@ -50,9 +55,16 @@ class TestBuild:
             [_rt("1", "A", "B"), _rt("2", "A", "B"), _rt("3", "B", "A")]
         )
         a, b = g.nodes.index("A"), g.nodes.index("B")
-        assert g.weights[(a, b)] == 2
-        assert g.weights[(b, a)] == 1
+        assert _edge_weights(g)[(a, b)] == 2
+        assert _edge_weights(g)[(b, a)] == 1
         assert g.n_nodes == 2
+
+    def test_edges_sorted_unique_int64(self):
+        g = build_retweet_graph(_random_records(random.Random(19)))
+        assert g.src.dtype == g.dst.dtype == g.weight.dtype == np.int64
+        keys = g.src * g.n_nodes + g.dst
+        assert (np.diff(keys) > 0).all()
+        assert (g.src != g.dst).all() and (g.weight >= 1).all()
 
     def test_lone_original_poster(self):
         g = build_retweet_graph([_orig("1", "C")])
@@ -73,7 +85,7 @@ class TestBuild:
         records = _random_records(random.Random(7))
         g1 = build_retweet_graph(records)
         g2 = build_retweet_graph(records)
-        assert g1.weights == g2.weights
+        assert _edge_weights(g1) == _edge_weights(g2)
         assert list(g1.nodes.names) == list(g2.nodes.names)
 
     def test_weight_conservation(self):
@@ -89,10 +101,10 @@ class TestBuild:
         random.Random(5).shuffle(shuffled)
         g2 = build_retweet_graph(shuffled)
         by_name_1 = {
-            (g1.nodes.name(s), g1.nodes.name(t)): w for (s, t), w in g1.weights.items()
+            (g1.nodes.name(s), g1.nodes.name(t)): w for (s, t), w in _edge_weights(g1).items()
         }
         by_name_2 = {
-            (g2.nodes.name(s), g2.nodes.name(t)): w for (s, t), w in g2.weights.items()
+            (g2.nodes.name(s), g2.nodes.name(t)): w for (s, t), w in _edge_weights(g2).items()
         }
         assert by_name_1 == by_name_2
 
@@ -129,21 +141,27 @@ class TestDensity:
             )
         ]
         g = build_retweet_graph(records)
-        assert internal_link_density(g, range(3)) == 1.0
+        assert internal_link_density(g, [0, 0, 0])[0] == 1.0
 
     def test_single_internal_edge(self):
         g = build_retweet_graph([_rt("1", "A", "B"), _orig("2", "C")])
-        assert internal_link_density(g, range(3)) == pytest.approx(1 / 6)
+        assert internal_link_density(g, [0, 0, 0])[0] == pytest.approx(1 / 6)
 
     def test_too_few_members(self):
+        """A single-member community's density is NaN."""
         g = build_retweet_graph([_rt("1", "A", "B")])
+        assert np.isnan(internal_link_density(g, [0, 1])).all()
+
+    def test_labeling_must_cover_every_node(self):
+        g = build_retweet_graph([_rt("1", "A", "B"), _orig("2", "C")])
         with pytest.raises(DomainError):
-            internal_link_density(g, [0])
+            internal_link_density(g, [0, 0])
 
     def test_full_node_set_equals_global_density(self):
         g = build_retweet_graph(_random_records(random.Random(23)))
         n = g.n_nodes
-        assert internal_link_density(g, range(n)) == pytest.approx(g.n_edges / (n * (n - 1)))
+        density = internal_link_density(g, np.zeros(n, dtype=np.int64))
+        assert density[0] == pytest.approx(g.n_edges / (n * (n - 1)))
 
 
 class TestDegreeStats:
@@ -170,9 +188,20 @@ class TestCache:
         g = build_retweet_graph(_random_records(random.Random(31)))
         save_graph(g, tmp_path / "nodes.csv", tmp_path / "edges.csv")
         loaded = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
-        assert loaded.weights == g.weights
+        for name in ("src", "dst", "weight"):
+            assert np.array_equal(getattr(loaded, name), getattr(g, name))
         assert list(loaded.nodes.names) == list(g.nodes.names)
         # the projection built from the cache is numerically identical
         u1, u2 = to_undirected(g), to_undirected(loaded)
         assert np.array_equal(u1.nbr, u2.nbr)
         assert np.array_equal(u1.wgt, u2.wgt)
+
+    def test_unsorted_rows_load_sorted(self, tmp_path):
+        g = build_retweet_graph(_random_records(random.Random(37)))
+        save_graph(g, tmp_path / "nodes.csv", tmp_path / "edges.csv")
+        edges = tmp_path / "edges.csv"
+        header, *rows = edges.read_text(encoding="utf-8").splitlines(keepends=True)
+        edges.write_text(header + "".join(reversed(rows)), encoding="utf-8")
+        loaded = load_graph(tmp_path / "nodes.csv", edges)
+        assert _edge_weights(loaded) == _edge_weights(g)
+        assert np.array_equal(loaded.src, g.src) and np.array_equal(loaded.dst, g.dst)

@@ -174,9 +174,16 @@ class TestRunPipeline:
                 assert row == zrow
 
 
-def _corrupt_second_line(path: Path, field: int, value: str | None) -> None:
-    """Replace one field of the first data row, or with value None cut the row to one field."""
+def _corrupt_second_line(path: Path, field: int | None, value: str | None) -> None:
+    """Replace one field of the first data row, or with value None cut the row to one field.
+
+    With field None the row is repeated on the next line instead.
+    """
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    if field is None:
+        lines.insert(2, lines[1])
+        path.write_text("".join(lines), encoding="utf-8")
+        return
     row = lines[1].rstrip("\n").split(",")
     lines[1] = (row[0] if value is None else ",".join(row[:field] + [value] + row[field + 1:])) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
@@ -194,9 +201,11 @@ class TestCorruptStageCache:
         "stage, cache_file, field, value",
         [
             ("nulltest", "user_scores.csv", 4, "not-a-float"),
+            ("nulltest", "user_scores.csv", 5, "nan"),
             ("nulltest", "partition.csv", 1, "not-an-int"),
             ("communities", "nodes.csv", 0, None),
             ("communities", "edges.csv", 2, "not-an-int"),
+            ("communities", "edges.csv", None, "duplicate"),
         ],
     )
     def test_corrupt_cache_exits_2_without_traceback(
@@ -222,7 +231,8 @@ class TestCorruptStageCache:
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert f"{cache_file}:2:" in proc.stderr
+        line = 3 if field is None else 2  # a repeated row is refused where it repeats
+        assert f"{cache_file}:{line}:" in proc.stderr
 
 
 class TestConfig:

@@ -74,7 +74,7 @@ class TestGeneratedStructure:
         spec = _spec(inter_p=0.0, intra_p=0.4, url_tweets_per_user=(0, 0))
         dataset = build_synthetic(spec, seed=3)
         graph = build_retweet_graph(dataset.iter_records())
-        for (s, t) in graph.weights:
+        for s, t in zip(graph.src.tolist(), graph.dst.tolist()):
             assert dataset.labels[s] == dataset.labels[t]
 
     def test_confined_url_has_zero_entropy_downstream(self):
@@ -174,7 +174,9 @@ class TestGenerateFiles:
         und = to_undirected(graph)
         # order-of-magnitude check: intra edges dominate
         intra = sum(
-            1 for (s, t) in graph.weights if dataset.labels[s] == dataset.labels[t]
+            1
+            for s, t in zip(graph.src.tolist(), graph.dst.tolist())
+            if dataset.labels[s] == dataset.labels[t]
         )
         assert intra > 0.8 * graph.n_edges
         assert und.total_weight == graph.total_weight
