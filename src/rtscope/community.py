@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from rtscope.errors import DataIntegrityError, DomainError, InputError
-from rtscope.graph import NodeTable, UndirectedGraph
+from rtscope.graph import NodeTable, UndirectedGraph, _cache_rows
 
 log = logging.getLogger(__name__)
 
@@ -294,22 +294,16 @@ def save_partition(p: Partition, nodes: NodeTable, path: Path | str) -> None:
 def load_partition(path: Path | str, nodes: NodeTable) -> Partition:
     """Load an exported partition; labels are re-densified in first-seen order."""
     raw = np.full(len(nodes), -1, dtype=np.int64)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, None)
-                if header != ["author_id", "community_label"]:
-                    raise InputError(f"{path}: bad partition header {header}")
-                for row in reader:
-                    idx = nodes.get(row[0])
-                    if idx is None:
-                        raise DataIntegrityError(f"{path}: author {row[0]!r} not in node table")
-                    raw[idx] = int(row[1])
-            except (ValueError, IndexError, OverflowError) as exc:
-                raise InputError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
-    except OSError as exc:
-        raise InputError(f"cannot read partition {path}: {exc}") from exc
+    seen = np.zeros(len(nodes), dtype=bool)
+    with _cache_rows(path, ["author_id", "community_label"], "partition") as reader:
+        for row in reader:
+            idx = nodes.get(row[0])
+            if idx is None:
+                raise DataIntegrityError(f"{path}: author {row[0]!r} not in node table")
+            if seen[idx]:
+                raise InputError(f"{path}:{reader.line_num}: duplicate author {row[0]!r}")
+            seen[idx] = True
+            raw[idx] = int(row[1])
     if (raw < 0).any():
         missing = nodes.name(int(np.flatnonzero(raw < 0)[0]))
         raise DataIntegrityError(f"{path}: no community for author {missing!r}")

@@ -8,9 +8,10 @@ the two directions per pair.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -280,51 +281,48 @@ def save_graph(g: RetweetGraph, nodes_path: Path | str, edges_path: Path | str) 
         writer.writerows(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()))
 
 
+@contextmanager
+def _cache_rows(path: Path | str, header: list[str], what: str) -> Iterator[Iterator[list[str]]]:
+    """Open a stage-cache CSV, check its header, and yield its row reader.
+
+    A row that fails to parse while the reader is consumed (ValueError,
+    IndexError, OverflowError or csv.Error) becomes an InputError naming the
+    file and line, as does an unreadable file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                got = next(reader, None)
+                if got != header:
+                    raise InputError(f"{path}: bad {what} header {got}")
+                yield reader
+            except (ValueError, IndexError, OverflowError, csv.Error) as exc:
+                raise InputError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_graph(nodes_path: Path | str, edges_path: Path | str) -> RetweetGraph:
     """Reload a cached graph; reproduces the saved graph exactly."""
     nodes = NodeTable()
-    try:
-        with open(nodes_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, None)
-                if header != ["index", "author_id"]:
-                    raise InputError(f"{nodes_path}: bad node-table header {header}")
-                for row in reader:
-                    idx = nodes.intern(row[1])
-                    if idx != int(row[0]):
-                        raise InputError(f"{nodes_path}: node indices are not dense/in order")
-            except (ValueError, IndexError) as exc:
-                raise InputError(f"{nodes_path}:{reader.line_num}: malformed row: {exc}") from exc
-    except OSError as exc:
-        raise InputError(f"cannot read node table {nodes_path}: {exc}") from exc
+    with _cache_rows(nodes_path, ["index", "author_id"], "node table") as reader:
+        for row in reader:
+            if nodes.intern(row[1]) != int(row[0]):
+                raise InputError(f"{nodes_path}: node indices are not dense/in order")
 
     weights: dict[int, int] = {}
-    try:
-        with open(edges_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, None)
-                if header != ["src_index", "dst_index", "weight"]:
-                    raise InputError(f"{edges_path}: bad edge-list header {header}")
-                for row in reader:
-                    s, t, w = int(row[0]), int(row[1]), int(row[2])
-                    if not (0 <= s < len(nodes) and 0 <= t < len(nodes)):
-                        raise InputError(
-                            f"{edges_path}:{reader.line_num}: edge ({s},{t}) outside node table"
-                        )
-                    if s == t or w < 1:
-                        raise InputError(
-                            f"{edges_path}:{reader.line_num}: invalid edge ({s},{t},{w})"
-                        )
-                    key = s << _KEY_BITS | t
-                    if key in weights:
-                        raise InputError(
-                            f"{edges_path}:{reader.line_num}: duplicate edge ({s},{t})"
-                        )
-                    weights[key] = w
-            except (ValueError, IndexError) as exc:
-                raise InputError(f"{edges_path}:{reader.line_num}: malformed row: {exc}") from exc
-    except OSError as exc:
-        raise InputError(f"cannot read edge list {edges_path}: {exc}") from exc
+    with _cache_rows(edges_path, ["src_index", "dst_index", "weight"], "edge list") as reader:
+        for row in reader:
+            s, t, w = int(row[0]), int(row[1]), int(row[2])
+            if not (0 <= s < len(nodes) and 0 <= t < len(nodes)):
+                raise InputError(
+                    f"{edges_path}:{reader.line_num}: edge ({s},{t}) outside node table"
+                )
+            if s == t or w < 1:
+                raise InputError(f"{edges_path}:{reader.line_num}: invalid edge ({s},{t},{w})")
+            key = s << _KEY_BITS | t
+            if key in weights:
+                raise InputError(f"{edges_path}:{reader.line_num}: duplicate edge ({s},{t})")
+            weights[key] = w
     return _sorted_graph(nodes, weights)

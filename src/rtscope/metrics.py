@@ -4,10 +4,13 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from rtscope.community import Partition
 from rtscope.errors import DataIntegrityError, DomainError, InvalidUrlError
@@ -32,45 +35,71 @@ class UserTally:
         return self.unreliable + self.reliable
 
 
-def _record_source_class(record: TweetRecord, catalog: SourceCatalog) -> SourceClass:
-    """Classify one record: unreliable dominates when a tweet mixes both kinds."""
-    has_reliable = False
-    for raw in record.urls:
-        try:
-            normalized = normalize_url(raw)
-        except InvalidUrlError:
+def _url_columns(tweets: Iterable[TweetRecord]) -> tuple:
+    """One walk over the records; each distinct raw URL is normalized once.
+
+    Returns ``(urls, author_names, authors, is_retweet, indptr, ids)`` with
+    one row per record that carries a valid URL. Row ``r``'s URL ids are
+    ``ids[indptr[r]:indptr[r + 1]]``, each once, in order of appearance. The
+    ids index ``urls`` and ``authors`` indexes ``author_names``, both
+    numbered in first-seen order.
+    """
+    id_of_raw: dict[str, int] = {}  # -1 marks an unparseable URL
+    id_of_canonical: dict[str, int] = {}
+    urls: list[NormalizedUrl] = []
+    author_of: dict[str, int] = {}
+    authors, is_retweet, ends, ids = array("q"), array("b"), array("q", [0]), array("q")
+    for record in tweets:
+        if not record.urls:
             continue
-        cls = classify_domain(normalized, catalog)
-        if cls is SourceClass.UNRELIABLE:
-            return SourceClass.UNRELIABLE
-        if cls is SourceClass.RELIABLE:
-            has_reliable = True
-    return SourceClass.RELIABLE if has_reliable else SourceClass.UNKNOWN
+        row: list[int] = []
+        for raw in record.urls:
+            uid = id_of_raw.get(raw)
+            if uid is None:
+                try:
+                    normalized = normalize_url(raw)
+                except InvalidUrlError:
+                    uid = -1
+                else:
+                    uid = id_of_canonical.setdefault(normalized.canonical, len(urls))
+                    if uid == len(urls):
+                        urls.append(normalized)
+                id_of_raw[raw] = uid
+            if uid >= 0 and uid not in row:
+                row.append(uid)
+        if row:
+            ids.extend(row)
+            ends.append(len(ids))
+            authors.append(author_of.setdefault(record.author_id, len(author_of)))
+            is_retweet.append(record.is_retweet)
+    return (urls, list(author_of), np.array(authors), np.array(is_retweet, dtype=bool),
+            np.array(ends), np.array(ids))
+
+
+# A record takes the highest rank among its URLs: unreliable dominates a mixed tweet.
+_CLASS_RANK = {SourceClass.UNKNOWN: 0, SourceClass.RELIABLE: 1, SourceClass.UNRELIABLE: 2}
 
 
 def user_tallies(tweets: Iterable[TweetRecord], catalog: SourceCatalog) -> dict[str, UserTally]:
-    """Tally catalog-matched posts per author.
+    """Tally catalog-matched posts per author, in first-matched order.
 
     A record with at least one unreliable URL counts as unreliable; else one
     with at least one reliable URL counts as reliable; records with only
     unknown (or unparseable) URLs contribute nothing. Users with no matched
     records are absent from the result.
     """
-    tallies: dict[str, UserTally] = {}
-    for record in tweets:
-        if not record.urls:
-            continue
-        cls = _record_source_class(record, catalog)
-        if cls is SourceClass.UNKNOWN:
-            continue
-        tally = tallies.get(record.author_id)
-        if tally is None:
-            tally = tallies[record.author_id] = UserTally()
-        if cls is SourceClass.UNRELIABLE:
-            tally.unreliable += 1
-        else:
-            tally.reliable += 1
-    return tallies
+    urls, author_names, authors, _, indptr, ids = _url_columns(tweets)
+    rank = np.array([_CLASS_RANK[classify_domain(u, catalog)] for u in urls], dtype=np.int64)
+    row_rank = np.maximum.reduceat(rank[ids], indptr[:-1])
+    matched = row_rank > 0
+    authors = authors[matched]
+    counts = np.bincount(2 * authors + row_rank[matched] - 1, minlength=2 * len(author_names))
+    counts = counts.reshape(-1, 2).tolist()  # [reliable, unreliable] per author
+    seen, first_row = np.unique(authors, return_index=True)
+    return {
+        author_names[a]: UserTally(unreliable=counts[a][1], reliable=counts[a][0])
+        for a in seen[np.argsort(first_row)].tolist()
+    }
 
 
 def untrustworthiness(tweet_count: int, ratio: float, max_tweet_count: int) -> float:
@@ -189,27 +218,6 @@ def entropy_class(h: float, low: float = 0.4, high: float = 0.9) -> EntropyClass
     return EntropyClass.HIGH
 
 
-def _canonicals(record: TweetRecord) -> dict[str, NormalizedUrl]:
-    """Unique normalized URLs in one record (a URL repeated in a tweet counts once)."""
-    out: dict[str, NormalizedUrl] = {}
-    for raw in record.urls:
-        try:
-            normalized = normalize_url(raw)
-        except InvalidUrlError:
-            continue
-        out.setdefault(normalized.canonical, normalized)
-    return out
-
-
-def _author_label(record: TweetRecord, partition: Partition, nodes: NodeTable) -> tuple[int, int]:
-    idx = nodes.get(record.author_id)
-    if idx is None or idx >= partition.labels.size:
-        raise DataIntegrityError(
-            f"author {record.author_id!r} is missing from the partition"
-        )
-    return idx, int(partition.labels[idx])
-
-
 @dataclass
 class UrlDiffusionRecord:
     url: NormalizedUrl
@@ -226,62 +234,20 @@ class UrlDiffusionRecord:
     successful: bool = False
 
 
-class _UrlAccumulator:
-    __slots__ = ("url", "shares", "retweets", "ops", "retweeters")
+def _pair_means(
+    keys: np.ndarray, span: int, n_urls: int, value: np.ndarray
+) -> list[float | None]:
+    """Per URL, the mean over its members' values that are not NaN; None if none is.
 
-    def __init__(self, url: NormalizedUrl) -> None:
-        self.url = url
-        self.shares: dict[int, int] = {}
-        self.retweets = 0
-        self.ops: set[int] = set()
-        self.retweeters: set[int] = set()
-
-
-def _mean_over(
-    members: Iterable[int],
-    nodes: NodeTable,
-    profiles: Mapping[int, UserProfile],
-    bot_scores: BotScoreTable | None,
-    field: str,
-) -> float | None:
-    """Mean over members that have the value; None when nobody does."""
-    total = 0.0
-    count = 0
-    for idx in sorted(members):
-        if field == "u":
-            profile = profiles.get(idx)
-            value = profile.untrustworthiness if profile is not None else None
-        else:
-            value = bot_scores.get(nodes.name(idx)) if bot_scores is not None else None
-        if value is not None:
-            total += value
-            count += 1
-    return total / count if count else None
-
-
-def _finalize(
-    acc: _UrlAccumulator,
-    nodes: NodeTable,
-    profiles: Mapping[int, UserProfile],
-    bot_scores: BotScoreTable | None,
-    low: float,
-    high: float,
-) -> UrlDiffusionRecord:
-    h = entropy(acc.shares)
-    retweeters = acc.retweeters - acc.ops
-    return UrlDiffusionRecord(
-        url=acc.url,
-        shares_by_community=dict(sorted(acc.shares.items())),
-        total_shares=sum(acc.shares.values()),
-        retweets=acc.retweets,
-        entropy=h,
-        entropy_class=entropy_class(h, low, high),
-        ops=frozenset(acc.ops),
-        avg_u_retweeters=_mean_over(retweeters, nodes, profiles, bot_scores, "u"),
-        avg_bs_retweeters=_mean_over(retweeters, nodes, profiles, bot_scores, "bs"),
-        avg_u_ops=_mean_over(acc.ops, nodes, profiles, bot_scores, "u"),
-        avg_bs_ops=_mean_over(acc.ops, nodes, profiles, bot_scores, "bs"),
-    )
+    ``keys`` are sorted ``url * span + member`` pairs: ``bincount`` adds each
+    URL's values one at a time, in ascending member order.
+    """
+    url, member = np.divmod(keys, span)
+    value = value[member]
+    has = ~np.isnan(value)
+    total = np.bincount(url[has], weights=value[has], minlength=n_urls).tolist()
+    count = np.bincount(url[has], minlength=n_urls).tolist()
+    return [t / c if c else None for t, c in zip(total, count)]
 
 
 def build_url_table(
@@ -299,28 +265,61 @@ def build_url_table(
     posters; a URL seen only in retweets keeps an empty OP set and is
     thereby excluded from OP-conditioned analyses downstream.
     """
-    table: dict[str, _UrlAccumulator] = {}
-    for record in tweets:
-        if not record.urls:
-            continue
-        canonicals = _canonicals(record)
-        if not canonicals:
-            continue
-        idx, label = _author_label(record, partition, nodes)
-        for canonical, normalized in canonicals.items():
-            acc = table.get(canonical)
-            if acc is None:
-                acc = table[canonical] = _UrlAccumulator(normalized)
-            acc.shares[label] = acc.shares.get(label, 0) + 1
-            if record.is_retweet:
-                acc.retweets += 1
-                acc.retweeters.add(idx)
-            else:
-                acc.ops.add(idx)
-    records = [
-        _finalize(acc, nodes, profiles, bot_scores, entropy_low, entropy_high)
-        for acc in table.values()
-    ]
+    urls, author_names, authors, is_retweet, indptr, url = _url_columns(tweets)
+    n_urls, span = len(urls), len(nodes)
+    if not n_urls:
+        return []
+    node_of = np.empty(len(author_names), dtype=np.int64)
+    u_value, bs_value = np.full(span, np.nan), np.full(span, np.nan)
+    for a, name in enumerate(author_names):
+        idx = nodes.get(name)
+        if idx is None or idx >= partition.labels.size:
+            raise DataIntegrityError(f"author {name!r} is missing from the partition")
+        node_of[a] = idx
+        if idx in profiles:
+            u_value[idx] = profiles[idx].untrustworthiness
+        if bot_scores is not None and name in bot_scores:
+            bs_value[idx] = bot_scores.get(name)
+
+    # One entry per (record, URL): the URL id, the author's node and its community.
+    member = np.repeat(node_of[authors], np.diff(indptr))
+    retweet = np.repeat(is_retweet, np.diff(indptr))
+    label = partition.labels[member]
+
+    # Each URL's shares list its communities in first-seen order, as entropy sums them.
+    n_labels = int(label.max()) + 1
+    _, first, counts = np.unique(url * n_labels + label, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    shares: list[dict[int, int]] = [{} for _ in range(n_urls)]
+    for u, lab, c in zip(url[first[order]].tolist(), label[first[order]].tolist(),
+                         counts[order].tolist()):
+        shares[u][lab] = c
+
+    op_keys = np.unique(url[~retweet] * span + member[~retweet])
+    rt_keys = np.setdiff1d(url[retweet] * span + member[retweet], op_keys)
+    op_url, op_member = np.divmod(op_keys, span)
+    ops = np.split(op_member, np.searchsorted(op_url, np.arange(1, n_urls)))
+    retweets = np.bincount(url[retweet], minlength=n_urls).tolist()
+    means = zip(*(_pair_means(keys, span, n_urls, value)
+                  for keys in (rt_keys, op_keys) for value in (u_value, bs_value)))
+    records = []
+    for i, (u_rt, bs_rt, u_op, bs_op) in enumerate(means):
+        h = entropy(shares[i])
+        records.append(
+            UrlDiffusionRecord(
+                url=urls[i],
+                shares_by_community=dict(sorted(shares[i].items())),
+                total_shares=sum(shares[i].values()),
+                retweets=retweets[i],
+                entropy=h,
+                entropy_class=entropy_class(h, entropy_low, entropy_high),
+                ops=frozenset(ops[i].tolist()),
+                avg_u_retweeters=u_rt,
+                avg_bs_retweeters=bs_rt,
+                avg_u_ops=u_op,
+                avg_bs_ops=bs_op,
+            )
+        )
     op_less = sum(1 for r in records if not r.ops)
     if op_less:
         log.info("%d URL(s) have no original poster inside the capture window", op_less)

@@ -72,6 +72,9 @@ class RunConfig:
             problems.append(f"op_bs_cutoff {self.op_bs_cutoff} outside [0, 1]")
         if self.service_rpm <= 0:
             problems.append(f"service_rpm {self.service_rpm} must be positive")
+        for key in ("louvain_seed", "null_seed"):
+            if getattr(self, key) < 0:
+                problems.append(f"{key} must be non-negative")
         if self.n_reshuffles < 1:
             problems.append("n_reshuffles must be at least 1")
         if self.top_k < 1:
@@ -239,27 +242,22 @@ def _load_user_scores(path: Path, nodes: graph_mod.NodeTable) -> dict[int, UserP
     if not path.exists():
         raise InputError("user_scores.csv not found; run the 'scores' stage first")
     profiles: dict[int, UserProfile] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != USER_SCORE_COLUMNS:
-                raise InputError(f"{path}: unexpected header {header}")
-            for row in reader:
-                idx = nodes.get(row[0])
-                if idx is None:
-                    raise InputError(f"{path}: author {row[0]!r} not in the node table")
-                profiles[idx] = UserProfile(
-                    user=idx,
-                    total=int(row[1]),
-                    unreliable=int(row[2]),
-                    reliable=int(row[3]),
-                    ratio=_unit_float(row[4]),
-                    untrustworthiness=_unit_float(row[5]),
-                    bot_score=_unit_float(row[6]) if row[6] else None,
-                )
-        except (ValueError, IndexError) as exc:
-            raise InputError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
+    with graph_mod._cache_rows(path, USER_SCORE_COLUMNS, "user-score table") as reader:
+        for row in reader:
+            idx = nodes.get(row[0])
+            if idx is None:
+                raise InputError(f"{path}: author {row[0]!r} not in the node table")
+            if idx in profiles:
+                raise InputError(f"{path}:{reader.line_num}: duplicate author {row[0]!r}")
+            profiles[idx] = UserProfile(
+                user=idx,
+                total=int(row[1]),
+                unreliable=int(row[2]),
+                reliable=int(row[3]),
+                ratio=_unit_float(row[4]),
+                untrustworthiness=_unit_float(row[5]),
+                bot_score=_unit_float(row[6]) if row[6] else None,
+            )
     return profiles
 
 
@@ -571,6 +569,8 @@ def run_stage(config: RunConfig, name: str) -> dict:
 def stage_synth(spec_path: Path, seed: int, out_dir: Path) -> dict:
     from rtscope.synth import SyntheticSpec, generate_synthetic
 
+    if seed < 0:
+        raise ConfigError(f"seed {seed} must be non-negative")
     try:
         text = Path(spec_path).read_text(encoding="utf-8")
     except OSError as exc:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -64,6 +65,30 @@ def _config(fixture_dir: Path, out_dir: Path, **overrides) -> RunConfig:
     config.validate()
     return config
 
+
+# sha256 of every file of the fixture bundle but manifest.json, which echoes
+# input paths. A change that alters the outputs on purpose updates this list.
+FIXTURE_DIGESTS = {
+    "communities.csv": "7eecc34db2e3367b10c4da923903f2cca5f5dffa4006da073e23223fc557314a",
+    "communities_report.json": "7db466b20f5393a78d2c4bfd5d690a003a74dccd0743838e54b3a21bdb9e832f",
+    "curve_feature_hist.csv": "70bb47494750db72c1fa084b3e0aeaead9a262d58f95852c4f560c1d01f49e14",
+    "curves.csv": "0957b0cf56e8556942fd72e0f4922404ab04357125d8903ce61c280306d9a313",
+    "curves_report.json": "31fa6156cd7bdedbec2396846e64fe79e0951e61646bc8eb24902b9a5aa99148",
+    "curves_zero_filled.csv": "6a671a7d95533f404da1191d7fd40a3e95a2e388b686992062571ca9775034bb",
+    "edges.csv": "aa87191bd66dee3e131436fe7badb19f1ba227f0b1925af5a2a8e1ccd31fdbf2",
+    "graph_report.json": "fdd3ea62b5ab72adee9905479a2fa500364ff5bfe8969c21f08269005c97ebb4",
+    "nodes.csv": "2009a81f87bf7cdf70f530ffae6dae84ea0bb6af5dc1688b935ac7844ec814e5",
+    "nulltest_bs.csv": "f0f5abfc7111deb7e6f3d9e4a54eda2dea17cdc34728bb2f91b5c6941f86f1e9",
+    "nulltest_report.json": "e307e2c0403bfc8d5a0f716305ccdd9b469cb31f6490bbfef59fd260f8dd0a88",
+    "nulltest_u.csv": "45030c8c66ca65d1787e2a26b964d6e583fd801807dd464826651107037ce37f",
+    "parse_report.json": "0b2ee7aa71770be3a972c975d78cca111edf34ee4193d6dcf84593cba81c11a2",
+    "partition.csv": "b54456a13e8231b2bb49fc1d90f73c5fd611edee527ef3d136c92538740d6526",
+    "scores_report.json": "262f8f3308dea4af03122554dcd3a5e5abc8972143023f51ea4ca38fadc34a64",
+    "url_report.csv": "cfb49debd7eb86b947b870d894615cdf6be3993277391cfe3b76c076b4f18d23",
+    "url_report_high_bs_ops.csv": "946e2c4d2d22767046b78d7648bbac289ae0674f05e4b47d275447f31537e795",
+    "urls_report.json": "2fc8f00c39cdaaa9359ffb0206218a8712942178a9895887782fab99d29aeba3",
+    "user_scores.csv": "d6201902063735a45dbf34254174c85321d40ad9d75faf703a0741176c2311db",
+}
 
 EXPECTED_ARTIFACTS = [
     "parse_report.json",
@@ -177,16 +202,26 @@ class TestRunPipeline:
 def _corrupt_second_line(path: Path, field: int | None, value: str | None) -> None:
     """Replace one field of the first data row, or with value None cut the row to one field.
 
-    With field None the row is repeated on the next line instead.
+    With field None the row is repeated on the next line instead, its last
+    field set to "1", so the repeat may disagree with the first row.
     """
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     if field is None:
-        lines.insert(2, lines[1])
+        repeated = lines[1].rstrip("\n").split(",")[:-1] + ["1"]
+        lines.insert(2, ",".join(repeated) + "\n")
         path.write_text("".join(lines), encoding="utf-8")
         return
     row = lines[1].rstrip("\n").split(",")
     lines[1] = (row[0] if value is None else ",".join(row[:field] + [value] + row[field + 1:])) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(rtscope.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "rtscope.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +231,15 @@ def full_run_dir(fixture_dir, tmp_path_factory) -> Path:
     return out
 
 
+def test_fixture_bundle_digests(full_run_dir):
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in full_run_dir.iterdir()
+        if path.name != "manifest.json"
+    }
+    assert digests == FIXTURE_DIGESTS
+
+
 class TestCorruptStageCache:
     @pytest.mark.parametrize(
         "stage, cache_file, field, value",
@@ -203,6 +247,8 @@ class TestCorruptStageCache:
             ("nulltest", "user_scores.csv", 4, "not-a-float"),
             ("nulltest", "user_scores.csv", 5, "nan"),
             ("nulltest", "partition.csv", 1, "not-an-int"),
+            ("nulltest", "partition.csv", None, "duplicate"),
+            ("nulltest", "user_scores.csv", None, "duplicate"),
             ("communities", "nodes.csv", 0, None),
             ("communities", "edges.csv", 2, "not-an-int"),
             ("communities", "edges.csv", None, "duplicate"),
@@ -214,20 +260,13 @@ class TestCorruptStageCache:
         out = tmp_path / "out"
         shutil.copytree(full_run_dir, out)
         _corrupt_second_line(out / cache_file, field, value)
-        env = dict(os.environ, PYTHONPATH=str(Path(rtscope.__file__).parents[1]))
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "rtscope.cli", stage,
-                "--tweets", str(fixture_dir / "tweets.jsonl"),
-                "--unreliable-sources", str(fixture_dir / "sources_unreliable.txt"),
-                "--reliable-sources", str(fixture_dir / "sources_reliable.txt"),
-                "--n-reshuffles", "5",
-                "-o", str(out),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
+        proc = _run_cli(
+            stage,
+            "--tweets", str(fixture_dir / "tweets.jsonl"),
+            "--unreliable-sources", str(fixture_dir / "sources_unreliable.txt"),
+            "--reliable-sources", str(fixture_dir / "sources_reliable.txt"),
+            "--n-reshuffles", "5",
+            "-o", str(out),
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -331,3 +370,31 @@ class TestCli:
             ["synth", "--spec", str(spec_path), "--seed", "1", "-o", str(tmp_path / "x")]
         )
         assert code == 1
+
+
+class TestNegativeSeeds:
+    @pytest.mark.parametrize("flag", ["--louvain-seed", "--null-seed"])
+    def test_negative_run_seed_exit_1_before_any_stage(self, fixture_dir, tmp_path, flag):
+        out = tmp_path / "out"
+        proc = _run_cli(
+            "all",
+            "--tweets", str(fixture_dir / "tweets.jsonl"),
+            "--unreliable-sources", str(fixture_dir / "sources_unreliable.txt"),
+            "--reliable-sources", str(fixture_dir / "sources_reliable.txt"),
+            flag, "-1",
+            "-o", str(out),
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "must be non-negative" in proc.stderr
+        assert not out.exists()
+
+    def test_negative_synth_seed_exit_1(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(FIXTURE_SPEC.to_json(), encoding="utf-8")
+        out = tmp_path / "synth"
+        proc = _run_cli("synth", "--spec", str(spec_path), "--seed", "-1", "-o", str(out))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "must be non-negative" in proc.stderr
+        assert not out.exists()
