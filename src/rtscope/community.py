@@ -303,7 +303,10 @@ def load_partition(path: Path | str, nodes: NodeTable) -> Partition:
             if seen[idx]:
                 raise InputError(f"{path}:{reader.line_num}: duplicate author {row[0]!r}")
             seen[idx] = True
-            raw[idx] = int(row[1])
+            label = int(row[1])
+            if label < 0:
+                raise ValueError(f"negative community label {label}")
+            raw[idx] = label
     if (raw < 0).any():
         missing = nodes.name(int(np.flatnonzero(raw < 0)[0]))
         raise DataIntegrityError(f"{path}: no community for author {missing!r}")

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from rtscope.errors import DomainError, InputError
+from rtscope.ingest.columns import TweetColumns, as_columns
 from rtscope.ingest.records import TweetRecord
 
 
@@ -27,6 +28,14 @@ class NodeTable:
     def __init__(self) -> None:
         self._id_of: dict[str, int] = {}
         self._names: list[str] = []
+
+    @classmethod
+    def from_names(cls, names: Iterable[str]) -> "NodeTable":
+        """A table of distinct ``names``, indexed in the given order."""
+        table = cls()
+        table._names = list(names)
+        table._id_of = {name: idx for idx, name in enumerate(table._names)}
+        return table
 
     def intern(self, name: str) -> int:
         idx = self._id_of.get(name)
@@ -101,41 +110,22 @@ def _split_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys >> _KEY_BITS, keys & ((1 << _KEY_BITS) - 1)
 
 
-def _sorted_graph(
-    nodes: NodeTable, weights: dict[int, int], self_retweets_skipped: int = 0
-) -> RetweetGraph:
-    """Turn a ``pair key -> weight`` accumulator into the sorted edge arrays."""
-    n = len(weights)
-    keys = np.fromiter(weights, dtype=np.int64, count=n)
-    weight = np.fromiter(weights.values(), dtype=np.int64, count=n)
-    order = np.argsort(keys)
-    src, dst = _split_keys(keys[order])
-    return RetweetGraph(nodes, src, dst, weight[order], self_retweets_skipped)
-
-
-def build_retweet_graph(tweets: Iterable[TweetRecord]) -> RetweetGraph:
-    """Fold tweet records into the directed retweet graph.
+def build_retweet_graph(tweets: TweetColumns | Iterable[TweetRecord]) -> RetweetGraph:
+    """Fold tweet columns (or records) into the directed retweet graph.
 
     Nodes are created for every author and every retweeted author, in first
     appearance order, so the result is deterministic for a given record
     order. Self-retweets are skipped and tallied.
     """
-    nodes = NodeTable()
-    weights: dict[int, int] = {}
-    skipped = 0
-    intern = nodes.intern
-    get_weight = weights.get
-    for record in tweets:
-        source = intern(record.author_id)
-        if record.retweeted_author_id is None:
-            continue
-        target = intern(record.retweeted_author_id)
-        if source == target:
-            skipped += 1
-            continue
-        key = source << _KEY_BITS | target
-        weights[key] = get_weight(key, 0) + 1
-    return _sorted_graph(nodes, weights, skipped)
+    columns = as_columns(tweets)
+    is_retweet = columns.retweeted >= 0
+    own = is_retweet & (columns.author == columns.retweeted)
+    keep = is_retweet & ~own
+    keys = columns.author[keep].astype(np.int64) << _KEY_BITS | columns.retweeted[keep]
+    keys, weight = np.unique(keys, return_counts=True)
+    src, dst = _split_keys(keys)
+    return RetweetGraph(NodeTable.from_names(columns.names), src, dst,
+                        weight.astype(np.int64), int(own.sum()))
 
 
 class UndirectedGraph:
@@ -325,4 +315,8 @@ def load_graph(nodes_path: Path | str, edges_path: Path | str) -> RetweetGraph:
             if key in weights:
                 raise InputError(f"{edges_path}:{reader.line_num}: duplicate edge ({s},{t})")
             weights[key] = w
-    return _sorted_graph(nodes, weights)
+    keys = np.fromiter(weights, dtype=np.int64, count=len(weights))
+    order = np.argsort(keys)
+    src, dst = _split_keys(keys[order])
+    weight = np.fromiter(weights.values(), dtype=np.int64, count=len(weights))
+    return RetweetGraph(nodes, src, dst, weight[order])

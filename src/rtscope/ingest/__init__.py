@@ -1,7 +1,8 @@
-"""Input handling: tweet records, URL normalization, source catalogs, bot scores."""
+"""Input handling: tweet records, their columns, URL normalization, catalogs, bot scores."""
 
 from rtscope.ingest.botscores import BotScoreClient, BotScoreTable, load_bot_scores
 from rtscope.ingest.catalog import SourceCatalog, SourceClass, classify_domain, load_source_catalog
+from rtscope.ingest.columns import TweetColumns, build_columns, read_columns
 from rtscope.ingest.records import (
     ParseReport,
     TweetRecord,
@@ -18,12 +19,15 @@ __all__ = [
     "ParseReport",
     "SourceCatalog",
     "SourceClass",
+    "TweetColumns",
     "TweetRecord",
+    "build_columns",
     "classify_domain",
     "load_bot_scores",
     "load_source_catalog",
     "normalize_url",
     "parse_tweet_stream",
+    "read_columns",
     "read_tweet_file",
     "write_tweet_file",
 ]

@@ -4,7 +4,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -13,12 +12,13 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from rtscope.community import Partition
-from rtscope.errors import DataIntegrityError, DomainError, InvalidUrlError
+from rtscope.errors import DataIntegrityError, DomainError
 from rtscope.graph import NodeTable
 from rtscope.ingest.botscores import BotScoreTable
 from rtscope.ingest.catalog import SourceCatalog, SourceClass, classify_domain
+from rtscope.ingest.columns import TweetColumns, as_columns
 from rtscope.ingest.records import TweetRecord
-from rtscope.ingest.urls import NormalizedUrl, normalize_url
+from rtscope.ingest.urls import NormalizedUrl
 
 log = logging.getLogger(__name__)
 
@@ -35,52 +35,13 @@ class UserTally:
         return self.unreliable + self.reliable
 
 
-def _url_columns(tweets: Iterable[TweetRecord]) -> tuple:
-    """One walk over the records; each distinct raw URL is normalized once.
-
-    Returns ``(urls, author_names, authors, is_retweet, indptr, ids)`` with
-    one row per record that carries a valid URL. Row ``r``'s URL ids are
-    ``ids[indptr[r]:indptr[r + 1]]``, each once, in order of appearance. The
-    ids index ``urls`` and ``authors`` indexes ``author_names``, both
-    numbered in first-seen order.
-    """
-    id_of_raw: dict[str, int] = {}  # -1 marks an unparseable URL
-    id_of_canonical: dict[str, int] = {}
-    urls: list[NormalizedUrl] = []
-    author_of: dict[str, int] = {}
-    authors, is_retweet, ends, ids = array("q"), array("b"), array("q", [0]), array("q")
-    for record in tweets:
-        if not record.urls:
-            continue
-        row: list[int] = []
-        for raw in record.urls:
-            uid = id_of_raw.get(raw)
-            if uid is None:
-                try:
-                    normalized = normalize_url(raw)
-                except InvalidUrlError:
-                    uid = -1
-                else:
-                    uid = id_of_canonical.setdefault(normalized.canonical, len(urls))
-                    if uid == len(urls):
-                        urls.append(normalized)
-                id_of_raw[raw] = uid
-            if uid >= 0 and uid not in row:
-                row.append(uid)
-        if row:
-            ids.extend(row)
-            ends.append(len(ids))
-            authors.append(author_of.setdefault(record.author_id, len(author_of)))
-            is_retweet.append(record.is_retweet)
-    return (urls, list(author_of), np.array(authors), np.array(is_retweet, dtype=bool),
-            np.array(ends), np.array(ids))
-
-
 # A record takes the highest rank among its URLs: unreliable dominates a mixed tweet.
 _CLASS_RANK = {SourceClass.UNKNOWN: 0, SourceClass.RELIABLE: 1, SourceClass.UNRELIABLE: 2}
 
 
-def user_tallies(tweets: Iterable[TweetRecord], catalog: SourceCatalog) -> dict[str, UserTally]:
+def user_tallies(
+    tweets: TweetColumns | Iterable[TweetRecord], catalog: SourceCatalog
+) -> dict[str, UserTally]:
     """Tally catalog-matched posts per author, in first-matched order.
 
     A record with at least one unreliable URL counts as unreliable; else one
@@ -88,16 +49,18 @@ def user_tallies(tweets: Iterable[TweetRecord], catalog: SourceCatalog) -> dict[
     unknown (or unparseable) URLs contribute nothing. Users with no matched
     records are absent from the result.
     """
-    urls, author_names, authors, _, indptr, ids = _url_columns(tweets)
-    rank = np.array([_CLASS_RANK[classify_domain(u, catalog)] for u in urls], dtype=np.int64)
-    row_rank = np.maximum.reduceat(rank[ids], indptr[:-1])
+    columns = as_columns(tweets)
+    rows = np.flatnonzero(np.diff(columns.url_ptr))  # records with a valid URL
+    rank = np.array([_CLASS_RANK[classify_domain(u, catalog)] for u in columns.urls],
+                    dtype=np.int64)
+    row_rank = np.maximum.reduceat(rank[columns.url_ids], columns.url_ptr[rows])
     matched = row_rank > 0
-    authors = authors[matched]
-    counts = np.bincount(2 * authors + row_rank[matched] - 1, minlength=2 * len(author_names))
+    authors = columns.author[rows[matched]].astype(np.int64)
+    counts = np.bincount(2 * authors + row_rank[matched] - 1, minlength=2 * len(columns.names))
     counts = counts.reshape(-1, 2).tolist()  # [reliable, unreliable] per author
     seen, first_row = np.unique(authors, return_index=True)
     return {
-        author_names[a]: UserTally(unreliable=counts[a][1], reliable=counts[a][0])
+        columns.names[a]: UserTally(unreliable=counts[a][1], reliable=counts[a][0])
         for a in seen[np.argsort(first_row)].tolist()
     }
 
@@ -251,7 +214,7 @@ def _pair_means(
 
 
 def build_url_table(
-    tweets: Iterable[TweetRecord],
+    tweets: TweetColumns | Iterable[TweetRecord],
     partition: Partition,
     nodes: NodeTable,
     profiles: Mapping[int, UserProfile],
@@ -259,19 +222,21 @@ def build_url_table(
     entropy_low: float = 0.4,
     entropy_high: float = 0.9,
 ) -> list[UrlDiffusionRecord]:
-    """One pass over the records building every URL's diffusion record.
+    """Every URL's diffusion record, from the tweet columns (or records).
 
     URLs appear in first-seen order. Retweeter averages exclude original
     posters; a URL seen only in retweets keeps an empty OP set and is
     thereby excluded from OP-conditioned analyses downstream.
     """
-    urls, author_names, authors, is_retweet, indptr, url = _url_columns(tweets)
-    n_urls, span = len(urls), len(nodes)
+    columns = as_columns(tweets)
+    n_urls, span = len(columns.urls), len(nodes)
     if not n_urls:
         return []
-    node_of = np.empty(len(author_names), dtype=np.int64)
+    per_row = np.diff(columns.url_ptr)
+    node_of = np.zeros(len(columns.names), dtype=np.int64)
     u_value, bs_value = np.full(span, np.nan), np.full(span, np.nan)
-    for a, name in enumerate(author_names):
+    for a in np.unique(columns.author[per_row > 0]).tolist():
+        name = columns.names[a]
         idx = nodes.get(name)
         if idx is None or idx >= partition.labels.size:
             raise DataIntegrityError(f"author {name!r} is missing from the partition")
@@ -282,8 +247,9 @@ def build_url_table(
             bs_value[idx] = bot_scores.get(name)
 
     # One entry per (record, URL): the URL id, the author's node and its community.
-    member = np.repeat(node_of[authors], np.diff(indptr))
-    retweet = np.repeat(is_retweet, np.diff(indptr))
+    url = columns.url_ids.astype(np.int64)
+    member = np.repeat(node_of[columns.author], per_row)
+    retweet = np.repeat(columns.retweeted >= 0, per_row)
     label = partition.labels[member]
 
     # Each URL's shares list its communities in first-seen order, as entropy sums them.
@@ -307,7 +273,7 @@ def build_url_table(
         h = entropy(shares[i])
         records.append(
             UrlDiffusionRecord(
-                url=urls[i],
+                url=columns.urls[i],
                 shares_by_community=dict(sorted(shares[i].items())),
                 total_shares=sum(shares[i].values()),
                 retweets=retweets[i],

@@ -29,12 +29,14 @@ from rtscope import stats as stats_mod
 from rtscope.errors import ConfigError, DomainError, InputError, ToolkitError
 from rtscope.ingest.botscores import BotScoreClient, BotScoreTable, load_bot_scores
 from rtscope.ingest.catalog import load_source_catalog
-from rtscope.ingest.records import ParseReport, TweetRecord, read_tweet_file
+from rtscope.ingest.columns import TweetColumns, load_columns, read_columns, save_columns
+from rtscope.ingest.records import ParseReport
 from rtscope.metrics import UserProfile
 
 log = logging.getLogger(__name__)
 
 CACHE_DIR_ENV = "RTSCOPE_SERVICE_CACHE"
+COLUMNS_FILE = "columns.npz"
 
 
 @dataclass
@@ -249,11 +251,17 @@ def _load_user_scores(path: Path, nodes: graph_mod.NodeTable) -> dict[int, UserP
                 raise InputError(f"{path}: author {row[0]!r} not in the node table")
             if idx in profiles:
                 raise InputError(f"{path}:{reader.line_num}: duplicate author {row[0]!r}")
+            total, unreliable, reliable = int(row[1]), int(row[2]), int(row[3])
+            if min(unreliable, reliable) < 0 or total != unreliable + reliable:
+                raise ValueError(
+                    f"counts {total}, {unreliable}, {reliable} are not total = unreliable + "
+                    "reliable with non-negative parts"
+                )
             profiles[idx] = UserProfile(
                 user=idx,
-                total=int(row[1]),
-                unreliable=int(row[2]),
-                reliable=int(row[3]),
+                total=total,
+                unreliable=unreliable,
+                reliable=reliable,
                 ratio=_unit_float(row[4]),
                 untrustworthiness=_unit_float(row[5]),
                 bot_score=_unit_float(row[6]) if row[6] else None,
@@ -270,12 +278,19 @@ class RunContext:
 
     A stage that produces a value stores it here, so later stages of the same
     run use it in memory. A value no earlier stage produced is loaded from the
-    stage cache in the output directory; records are parsed from the tweet
-    file.
+    stage cache in the output directory. Only the ``ingest`` stage parses the
+    tweet file.
     """
 
     def __init__(self, config: RunConfig) -> None:
         self.config = config
+        self._digests: dict[str, str] = {}
+
+    def digest(self, key: str) -> str:
+        """sha256 of the input file configured under ``key``, read once per run."""
+        if key not in self._digests:
+            self._digests[key] = _sha256(_require(self.config, key))
+        return self._digests[key]
 
     @cached_property
     def out(self) -> Path:
@@ -284,8 +299,19 @@ class RunContext:
         return out
 
     @cached_property
-    def tweets(self) -> tuple[list[TweetRecord], ParseReport]:
-        return read_tweet_file(_require(self.config, "tweets"))
+    def tweets(self) -> TweetColumns:
+        """The tweet file's columns from the ingest stage's cache; a stale cache is refused."""
+        tweets_path = _require(self.config, "tweets")
+        path = self.out / COLUMNS_FILE
+        if not path.exists():
+            raise InputError(f"{COLUMNS_FILE} not found; run the 'ingest' stage first")
+        columns, source_name, source_sha256 = load_columns(path)
+        if source_sha256 != self.digest("tweets"):
+            raise InputError(
+                f"{path}: built from a tweet file {source_name!r} whose sha256 differs from "
+                f"{tweets_path.name!r}; run the 'ingest' stage again"
+            )
+        return columns
 
     @cached_property
     def graph(self) -> graph_mod.RetweetGraph:
@@ -334,13 +360,13 @@ class RunContext:
     def url_table(self) -> tuple[list[metrics_mod.UrlDiffusionRecord], dict[str, Any]]:
         """URLs above the share threshold, marked for success, and the table's counts."""
         config = self.config
-        records, _ = self.tweets
+        tweets = self.tweets
         nodes = self.graph.nodes
         partition = self.partition
         profiles = self.profiles
         bot_table, _ = self.bot_scores
         table = metrics_mod.build_url_table(
-            records,
+            tweets,
             partition,
             nodes,
             profiles,
@@ -374,17 +400,20 @@ class RunContext:
 
 
 def _ingest(ctx: RunContext) -> dict:
-    records, report = ctx.tweets
+    path = _require(ctx.config, "tweets")
+    report = ParseReport()
+    columns = read_columns(path, report)
+    ctx.tweets = columns
+    save_columns(columns, ctx.out / COLUMNS_FILE, path.name, ctx.digest("tweets"))
     counts = report.as_dict()
-    counts["retweet_records"] = sum(1 for r in records if r.is_retweet)
+    counts["retweet_records"] = int(np.count_nonzero(columns.retweeted >= 0))
     counts["original_records"] = report.parsed - counts["retweet_records"]
     _write_json(counts, ctx.out / "parse_report.json")
     return counts
 
 
 def _graph(ctx: RunContext) -> dict:
-    records, _ = ctx.tweets
-    graph = graph_mod.build_retweet_graph(records)
+    graph = graph_mod.build_retweet_graph(ctx.tweets)
     if graph.n_edges == 0:
         raise DomainError("edgeless graph: no retweet records to build links from")
     ctx.graph = graph
@@ -428,12 +457,11 @@ def _communities(ctx: RunContext) -> dict:
 
 def _scores(ctx: RunContext) -> dict:
     config = ctx.config
-    records, _ = ctx.tweets
     nodes = ctx.graph.nodes
     catalog = load_source_catalog(
         _require(config, "unreliable_sources"), _require(config, "reliable_sources")
     )
-    tallies = metrics_mod.user_tallies(records, catalog)
+    tallies = metrics_mod.user_tallies(ctx.tweets, catalog)
     bot_table, unavailable = ctx.bot_scores
     profiles = metrics_mod.build_profiles(tallies, nodes, bot_table)
     ctx.profiles = profiles
@@ -596,7 +624,7 @@ def run_pipeline(config: RunConfig) -> dict:
         if value is not None:
             path = Path(value)
             if path.exists():
-                inputs[key] = {"name": path.name, "sha256": _sha256(path)}
+                inputs[key] = {"name": path.name, "sha256": ctx.digest(key)}
     manifest["inputs"] = inputs
 
     for name in STAGES:
@@ -604,7 +632,7 @@ def run_pipeline(config: RunConfig) -> dict:
 
     # Reconciliation: accepted records = retweet edges' weight + originals + skips.
     graph = ctx.graph
-    parsed = ctx.tweets[1].parsed
+    parsed = manifest["stages"]["ingest"]["parsed"]
     reconciled = (
         graph.total_weight
         + graph.self_retweets_skipped

@@ -1,0 +1,86 @@
+"""The tweet columns: the builder, the .npz cache, and its validation on load."""
+from __future__ import annotations
+
+import time
+import zipfile
+
+import numpy as np
+import pytest
+
+from rtscope.errors import InputError
+from rtscope.ingest.columns import build_columns, load_columns, save_columns
+from rtscope.ingest.records import TweetRecord
+
+SHA = "ab" * 32
+
+
+def _records() -> list[TweetRecord]:
+    return [
+        TweetRecord("1", "ann", 0, urls=("https://www.news.example/a/?utm_source=x", "", "b.example")),
+        TweetRecord("2", "bob", 1, "ann", "1", ("news.example/a", "news.example/a/")),
+        TweetRecord("3", "cé", 2, "dan", "9"),  # dan appears only as a retweeted author
+        TweetRecord("4", "bob", 3, "bob", "2", ("http://",)),  # a self-retweet
+        TweetRecord("5", "ann", 4),
+    ]
+
+
+def test_builder_columns():
+    columns = build_columns(_records())
+    assert columns.names == ["ann", "bob", "cé", "dan"]
+    assert columns.author.tolist() == [0, 1, 2, 1, 0]
+    assert columns.retweeted.tolist() == [-1, 0, 3, 1, -1]
+    assert [u.canonical for u in columns.urls] == ["news.example/a", "b.example"]
+    assert columns.url_ptr.tolist() == [0, 2, 3, 3, 3, 3]
+    assert columns.url_ids.tolist() == [0, 1, 0]  # deduplicated within a record
+
+
+@pytest.mark.parametrize("records", [_records(), []], ids=["records", "empty"])
+def test_round_trip(records, tmp_path):
+    columns = build_columns(records)
+    save_columns(columns, tmp_path / "columns.npz", "tweets.jsonl", SHA)
+    loaded, name, sha = load_columns(tmp_path / "columns.npz")
+    assert (name, sha) == ("tweets.jsonl", SHA)
+    assert loaded.names == columns.names
+    assert loaded.urls == columns.urls
+    for key in ("author", "retweeted", "url_ptr", "url_ids"):
+        assert np.array_equal(getattr(loaded, key), getattr(columns, key)), key
+        assert getattr(loaded, key).dtype == getattr(columns, key).dtype, key
+
+
+def test_cache_is_a_plain_npz(tmp_path):
+    save_columns(build_columns(_records()), tmp_path / "columns.npz", "t.jsonl", SHA)
+    with np.load(tmp_path / "columns.npz", allow_pickle=False) as data:
+        assert data["author"].tolist() == [0, 1, 2, 1, 0]
+    with zipfile.ZipFile(tmp_path / "columns.npz") as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+
+
+def test_same_columns_give_identical_bytes(monkeypatch, tmp_path):
+    columns = build_columns(_records())
+    save_columns(columns, tmp_path / "a.npz", "t.jsonl", SHA)
+    now = time.time()
+    monkeypatch.setattr(time, "time", lambda: now + 86_400.0)
+    save_columns(columns, tmp_path / "b.npz", "t.jsonl", SHA)
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "payload", [b"", b"not a zip", b"PK\x03\x04" + bytes(60), b"\x93NUMPY\x01\x00"],
+    ids=["empty", "text", "zip-header", "npy-magic"],
+)
+def test_unreadable_bytes_are_input_errors(payload, tmp_path):
+    path = tmp_path / "columns.npz"
+    path.write_bytes(payload)
+    with pytest.raises(InputError, match="columns.npz"):
+        load_columns(path)
+
+
+def test_member_with_another_dtype_is_refused(tmp_path):
+    path = tmp_path / "columns.npz"
+    save_columns(build_columns(_records()), path, "t.jsonl", SHA)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["author"] = arrays["author"].astype(np.int64)
+    np.savez(path, **arrays)
+    with pytest.raises(InputError, match="expected a 1-D <i4 array"):
+        load_columns(path)

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from rtscope.graph import (
+    NodeTable,
     UndirectedGraph,
     build_retweet_graph,
     degree_stats,
     internal_link_density,
     to_undirected,
 )
+from rtscope.ingest.columns import build_columns
 from rtscope.ingest.records import TweetRecord
 
 SEEDS = [1, 2, 3, 4]
@@ -110,3 +112,59 @@ def test_to_undirected_matches_dict_reference(seed):
     for name in ("eu", "ev", "ew", "indptr", "nbr", "wgt", "strength"):
         assert np.array_equal(getattr(adapter, name), getattr(und, name))
     assert adapter.total_weight == und.total_weight
+
+
+def _reference_graph(records):
+    """The record loop the column kernel replaced: nodes, sorted edges, self-retweets."""
+    nodes = NodeTable()
+    weights: dict[tuple[int, int], int] = {}
+    skipped = 0
+    for record in records:
+        source = nodes.intern(record.author_id)
+        if record.retweeted_author_id is None:
+            continue
+        target = nodes.intern(record.retweeted_author_id)
+        if source == target:
+            skipped += 1
+            continue
+        weights[(source, target)] = weights.get((source, target), 0) + 1
+    edges = sorted(weights.items())
+    return list(nodes.names), edges, skipped
+
+
+def _mixed_records(seed: int) -> list[TweetRecord]:
+    """Self-retweets, originals, and authors seen only as retweeted."""
+    rng = random.Random(seed)
+    records = []
+    for i in range(rng.randrange(0, 400)):
+        author = f"u{rng.randrange(40)}"
+        roll = rng.random()
+        if roll < 0.2:
+            target = None
+        elif roll < 0.3:
+            target = author
+        elif roll < 0.4:
+            target = f"only-retweeted{rng.randrange(10)}"
+        else:
+            target = f"u{rng.randrange(40)}"
+        records.append(TweetRecord(f"t{i}", author, i, target, None if target is None else "o"))
+    return records
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_column_graph_matches_record_loop(seed):
+    records = _mixed_records(seed)
+    names, edges, skipped = _reference_graph(records)
+    for tweets in (records, build_columns(records)):
+        g = build_retweet_graph(tweets)
+        assert list(g.nodes.names) == names
+        assert [g.nodes.index(name) for name in names] == list(range(len(names)))
+        assert list(zip(zip(g.src.tolist(), g.dst.tolist()), g.weight.tolist())) == edges
+        assert g.src.dtype == g.dst.dtype == g.weight.dtype == np.int64
+        assert g.self_retweets_skipped == skipped
+
+
+def test_column_graph_of_no_records():
+    g = build_retweet_graph([])
+    assert g.n_nodes == 0 and g.n_edges == 0 and g.self_retweets_skipped == 0
+    assert _reference_graph([]) == ([], [], 0)

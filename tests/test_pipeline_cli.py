@@ -1,8 +1,10 @@
 """End-to-end pipeline runs, stage-wise runs, config handling, exit codes."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -10,7 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rtscope
 from rtscope import cli
@@ -69,6 +74,7 @@ def _config(fixture_dir: Path, out_dir: Path, **overrides) -> RunConfig:
 # sha256 of every file of the fixture bundle but manifest.json, which echoes
 # input paths. A change that alters the outputs on purpose updates this list.
 FIXTURE_DIGESTS = {
+    "columns.npz": "6baa5fecb714729b000f32eab3ad916dbe6acf198e1f7299b31a5873641c0bd6",
     "communities.csv": "7eecc34db2e3367b10c4da923903f2cca5f5dffa4006da073e23223fc557314a",
     "communities_report.json": "7db466b20f5393a78d2c4bfd5d690a003a74dccd0743838e54b3a21bdb9e832f",
     "curve_feature_hist.csv": "70bb47494750db72c1fa084b3e0aeaead9a262d58f95852c4f560c1d01f49e14",
@@ -92,6 +98,7 @@ FIXTURE_DIGESTS = {
 
 EXPECTED_ARTIFACTS = [
     "parse_report.json",
+    "columns.npz",
     "nodes.csv",
     "edges.csv",
     "graph_report.json",
@@ -224,6 +231,17 @@ def _run_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def _stage_args(stage: str, fixture_dir: Path, out: Path, tweets: Path | None = None) -> list[str]:
+    return [
+        stage,
+        "--tweets", str(tweets or fixture_dir / "tweets.jsonl"),
+        "--unreliable-sources", str(fixture_dir / "sources_unreliable.txt"),
+        "--reliable-sources", str(fixture_dir / "sources_reliable.txt"),
+        "--n-reshuffles", "5",
+        "-o", str(out),
+    ]
+
+
 @pytest.fixture(scope="module")
 def full_run_dir(fixture_dir, tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("cached")
@@ -249,6 +267,9 @@ class TestCorruptStageCache:
             ("nulltest", "partition.csv", 1, "not-an-int"),
             ("nulltest", "partition.csv", None, "duplicate"),
             ("nulltest", "user_scores.csv", None, "duplicate"),
+            ("nulltest", "user_scores.csv", 1, "999"),
+            ("nulltest", "user_scores.csv", 2, "-5"),
+            ("nulltest", "partition.csv", 1, "-3"),
             ("communities", "nodes.csv", 0, None),
             ("communities", "edges.csv", 2, "not-an-int"),
             ("communities", "edges.csv", None, "duplicate"),
@@ -260,18 +281,105 @@ class TestCorruptStageCache:
         out = tmp_path / "out"
         shutil.copytree(full_run_dir, out)
         _corrupt_second_line(out / cache_file, field, value)
-        proc = _run_cli(
-            stage,
-            "--tweets", str(fixture_dir / "tweets.jsonl"),
-            "--unreliable-sources", str(fixture_dir / "sources_unreliable.txt"),
-            "--reliable-sources", str(fixture_dir / "sources_reliable.txt"),
-            "--n-reshuffles", "5",
-            "-o", str(out),
-        )
+        proc = _run_cli(*_stage_args(stage, fixture_dir, out))
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         line = 3 if field is None else 2  # a repeated row is refused where it repeats
         assert f"{cache_file}:{line}:" in proc.stderr
+
+
+def _url_id_past_the_end(arrays):
+    arrays["url_ids"][0] = arrays["canonical_offsets"].size - 1
+
+
+def _decreasing_offsets(arrays):
+    arrays["url_ptr"][1] = arrays["url_ptr"][-1] + 1
+
+
+def _author_out_of_range(arrays):
+    arrays["author"][0] = arrays["names_offsets"].size - 1
+
+
+def _pickled_array(arrays):
+    arrays["domain"] = np.array(["x"] * arrays["domain"].size, dtype=object)
+
+
+def _missing_member(arrays):
+    del arrays["retweeted"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_run_dir(full_run_dir, tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("fuzz") / "out"
+    shutil.copytree(full_run_dir, out)
+    return out
+
+
+def _main_stderr(args: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(args)
+    return code, err.getvalue()
+
+
+class TestColumnCache:
+    @pytest.mark.parametrize(
+        "defect",
+        [_url_id_past_the_end, _decreasing_offsets, _author_out_of_range, _pickled_array,
+         _missing_member],
+    )
+    def test_defective_cache_exits_2_naming_it(
+        self, fixture_dir, full_run_dir, tmp_path, defect
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(full_run_dir, out)
+        with np.load(out / "columns.npz") as data:
+            arrays = {key: data[key].copy() for key in data.files}
+        defect(arrays)
+        np.savez(out / "columns.npz", **arrays)
+        proc = _run_cli(*_stage_args("scores", fixture_dir, out))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "columns.npz" in proc.stderr
+
+    def test_changed_tweet_file_is_refused(self, fixture_dir, full_run_dir, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(full_run_dir, out)
+        tweets = tmp_path / "tweets.jsonl"
+        data = bytearray((fixture_dir / "tweets.jsonl").read_bytes())
+        data[len(data) // 2] ^= 1
+        tweets.write_bytes(bytes(data))
+        proc = _run_cli(*_stage_args("scores", fixture_dir, out, tweets))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "columns.npz" in proc.stderr and "sha256" in proc.stderr
+
+    def test_missing_cache_asks_for_ingest(self, fixture_dir, full_run_dir, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(full_run_dir, out)
+        (out / "columns.npz").unlink()
+        proc = _run_cli(*_stage_args("graph", fixture_dir, out))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "run the 'ingest' stage first" in proc.stderr
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=st.binary(max_size=4096))
+    def test_arbitrary_bytes_exit_2(self, fixture_dir, fuzz_run_dir, payload):
+        (fuzz_run_dir / "columns.npz").write_bytes(payload)
+        code, err = _main_stderr(_stage_args("scores", fixture_dir, fuzz_run_dir))
+        assert code == 2, err
+        assert "columns.npz" in err
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(at=st.floats(0.0, 1.0, exclude_max=True), patch=st.binary(min_size=1, max_size=8))
+    def test_damaged_cache_exits_0_or_2(self, fixture_dir, full_run_dir, fuzz_run_dir, at, patch):
+        data = bytearray((full_run_dir / "columns.npz").read_bytes())
+        start = int(at * len(data))
+        data[start:start + len(patch)] = patch
+        (fuzz_run_dir / "columns.npz").write_bytes(bytes(data))
+        code, err = _main_stderr(_stage_args("scores", fixture_dir, fuzz_run_dir))
+        assert code in (0, 2), err
 
 
 class TestConfig:

@@ -2,8 +2,9 @@
 
 ``reference_user_tallies`` and ``reference_build_url_table`` normalize and
 classify every URL occurrence one by one, with dicts and sets. The library
-resolves each distinct URL once and aggregates with numpy; both must give
-equal results: exact floats, dict key order, URL order and OP sets.
+resolves each distinct URL once into tweet columns and aggregates with
+numpy; both must give equal results (exact floats, dict key order, URL order
+and OP sets), from records and from columns read back from their cache.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from rtscope.errors import DataIntegrityError, InvalidUrlError
 from rtscope.graph import NodeTable
 from rtscope.ingest.botscores import BotScoreTable
 from rtscope.ingest.catalog import SourceCatalog, SourceClass, classify_domain
+from rtscope.ingest.columns import build_columns, load_columns, save_columns
 from rtscope.ingest.records import TweetRecord
 from rtscope.ingest.urls import NormalizedUrl, normalize_url
 from rtscope.metrics import (
@@ -258,6 +260,21 @@ def test_url_table_matches_reference(seed, tmp_path):
         ]
         assert all(type(r.ops) is frozenset for r in got)
         assert _report_bytes(got, tmp_path, "got.csv") == _report_bytes(want, tmp_path, "want.csv")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cached_columns_match_reference(seed, tmp_path):
+    records, nodes, partition, profiles, bots = _records(seed)
+    save_columns(build_columns(records), tmp_path / "columns.npz", "tweets.jsonl", "00" * 32)
+    columns, *_ = load_columns(tmp_path / "columns.npz")
+    got = user_tallies(columns, CATALOG)
+    assert list(got.items()) == list(reference_user_tallies(records, CATALOG).items())
+    table = build_url_table(columns, partition, nodes, profiles, bots)
+    assert table == reference_build_url_table(records, partition, nodes, profiles, bots)
+    assert [list(r.shares_by_community.items()) for r in table] == [
+        list(r.shares_by_community.items())
+        for r in reference_build_url_table(records, partition, nodes, profiles, bots)
+    ]
 
 
 def test_scenarios_cover_the_edge_cases():
