@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from rtscope.errors import DataIntegrityError, DomainError, InputError
-from rtscope.graph import NodeTable, UndirectedGraph, _cache_rows
+from rtscope.graph import NodeTable, UndirectedGraph, _cache_rows, _csr, _pair_sums
 
 log = logging.getLogger(__name__)
 
@@ -135,53 +135,31 @@ def _local_move(
 
 
 def _aggregate(
-    n: int,
-    indptr: list[int],
-    nbr: list[int],
-    wgt: list[float],
+    eu: np.ndarray,
+    ev: np.ndarray,
+    ew: np.ndarray,
     self_w: np.ndarray,
     k: np.ndarray,
     comm: list[int],
-) -> tuple[int, list[int], list[int], list[float], np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse communities into supernodes; returns the next-level arrays."""
-    comm_arr = np.asarray(comm, dtype=np.int64)
-    uniq, new_of = np.unique(comm_arr, return_inverse=True)
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse communities into supernodes; returns the next level's pairs and weights.
+
+    ``(eu, ev, ew)`` is the level's pair list sorted by ``(eu, ev)`` with
+    ``eu < ev``. Each supernode's self-loop weight adds its members' carried
+    ``self_w`` in node order, then its internal pairs in pair order, and each
+    cross pair's weight adds its pairs in pair order, so the float sums do
+    not depend on how the level is stored.
+    """
+    uniq, new_of = np.unique(np.asarray(comm, dtype=np.int64), return_inverse=True)
     n2 = int(uniq.size)
     k2 = np.bincount(new_of, weights=k, minlength=n2)
-    self2 = np.bincount(new_of, weights=self_w, minlength=n2)
-    acc: dict[tuple[int, int], float] = {}
-    new_list = new_of.tolist()
-    for i in range(n):
-        ci = new_list[i]
-        for idx in range(indptr[i], indptr[i + 1]):
-            j = nbr[idx]
-            if j <= i:
-                continue
-            cj = new_list[j]
-            if ci == cj:
-                self2[ci] += wgt[idx]
-            else:
-                key = (ci, cj) if ci < cj else (cj, ci)
-                acc[key] = acc.get(key, 0.0) + wgt[idx]
-    pairs = sorted(acc.items())
-    deg = [0] * n2
-    for (u, v), _ in pairs:
-        deg[u] += 1
-        deg[v] += 1
-    indptr2 = [0] * (n2 + 1)
-    for i in range(n2):
-        indptr2[i + 1] = indptr2[i] + deg[i]
-    fill = indptr2[:-1].copy()
-    nbr2 = [0] * indptr2[-1]
-    wgt2 = [0.0] * indptr2[-1]
-    for (u, v), w in pairs:
-        nbr2[fill[u]] = v
-        wgt2[fill[u]] = w
-        fill[u] += 1
-        nbr2[fill[v]] = u
-        wgt2[fill[v]] = w
-        fill[v] += 1
-    return n2, indptr2, nbr2, wgt2, self2, k2, new_of
+    cu, cv = new_of[eu], new_of[ev]
+    inside = cu == cv
+    self2 = np.bincount(np.concatenate([new_of, cu[inside]]),
+                        weights=np.concatenate([self_w, ew[inside]]), minlength=n2)
+    cross = ~inside
+    eu2, ev2, ew2 = _pair_sums(cu[cross], cv[cross], ew[cross])
+    return n2, eu2, ev2, ew2, self2, k2, new_of
 
 
 _MAX_LEVELS = 64
@@ -220,9 +198,8 @@ def louvain(
     m = g.total_weight
     inv_2m = 1.0 / (2.0 * m)
 
-    indptr = g.indptr.tolist()
-    nbr = g.nbr.tolist()
-    wgt = g.wgt.tolist()
+    eu, ev, ew = g.eu, g.ev, g.ew
+    indptr, nbr, wgt = g.indptr.tolist(), g.nbr.tolist(), g.wgt.tolist()
     k = g.strength.astype(np.float64)
     self_w = np.zeros(n, dtype=np.float64)
     comm = list(range(n))
@@ -240,9 +217,8 @@ def louvain(
         )
         if moves == 0:
             break
-        n, indptr, nbr, wgt, self_w, k, new_of = _aggregate(
-            n, indptr, nbr, wgt, self_w, k, comm
-        )
+        n, eu, ev, ew, self_w, k, new_of = _aggregate(eu, ev, ew, self_w, k, comm)
+        indptr, nbr, wgt = (a.tolist() for a in _csr(n, eu, ev, ew))
         # Route every original node through the freshly aggregated supernodes.
         node_map = new_of[node_map]
         comm = list(range(n))

@@ -128,25 +128,49 @@ def build_retweet_graph(tweets: TweetColumns | Iterable[TweetRecord]) -> Retweet
                         weight.astype(np.int64), int(own.sum()))
 
 
+def _pair_sums(
+    u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum ``w`` per unordered pair: ``(eu, ev, ew)`` sorted by ``(eu, ev)``, ``eu <= ev``.
+
+    Each pair's weights are added in input order.
+    """
+    pair_key = np.minimum(u, v) << _KEY_BITS | np.maximum(u, v)
+    keys, pair_of_edge = np.unique(pair_key, return_inverse=True)
+    ew = np.bincount(pair_of_edge, weights=w, minlength=keys.size)
+    return *_split_keys(keys), ew
+
+
+def _csr(
+    n: int, eu: np.ndarray, ev: np.ndarray, ew: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, nbr, wgt)`` over both directions of every pair; rows ascend by neighbour."""
+    src = np.concatenate([eu, ev])
+    dst = np.concatenate([ev, eu])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order], np.concatenate([ew, ew])[order]
+
+
 class UndirectedGraph:
     """Undirected weighted projection stored as CSR plus a unique-pair edge list.
 
-    ``UndirectedGraph(nodes, {(u, v): w})`` builds it from a pair mapping;
-    ``to_undirected`` builds it from edge arrays already sorted by ``(u, v)``.
+    ``UndirectedGraph(nodes, {(u, v): w})`` builds it from a mapping of
+    distinct-node pairs (a pair given in both orders is summed);
+    ``to_undirected`` builds it from a directed graph.
     """
 
     __slots__ = ("nodes", "indptr", "nbr", "wgt", "strength", "eu", "ev", "ew", "total_weight")
 
     def __init__(self, nodes: NodeTable, pair_weights: Mapping[tuple[int, int], float]) -> None:
-        # Sort pairs so downstream float accumulation never depends on dict order.
-        pairs = sorted(pair_weights.items())
-        n_pairs = len(pairs)
-        self._set_edges(
-            nodes,
-            np.fromiter((p[0][0] for p in pairs), dtype=np.int64, count=n_pairs),
-            np.fromiter((p[0][1] for p in pairs), dtype=np.int64, count=n_pairs),
-            np.fromiter((p[1] for p in pairs), dtype=np.float64, count=n_pairs),
-        )
+        n_pairs = len(pair_weights)
+        u = np.fromiter((p[0] for p in pair_weights), dtype=np.int64, count=n_pairs)
+        v = np.fromiter((p[1] for p in pair_weights), dtype=np.int64, count=n_pairs)
+        if (u == v).any():
+            raise ValueError("an undirected pair joins a node to itself")
+        w = np.fromiter(pair_weights.values(), dtype=np.float64, count=n_pairs)
+        self._set_edges(nodes, *_pair_sums(u, v, w))
 
     @classmethod
     def _from_edges(
@@ -160,20 +184,13 @@ class UndirectedGraph:
         self, nodes: NodeTable, eu: np.ndarray, ev: np.ndarray, ew: np.ndarray
     ) -> None:
         self.nodes = nodes
-        n = len(nodes)
         self.eu = eu
         self.ev = ev
         self.ew = ew
-        src = np.concatenate([eu, ev])
-        dst = np.concatenate([ev, eu])
-        wgt = np.concatenate([ew, ew])
-        order = np.lexsort((dst, src))
-        counts = np.bincount(src, minlength=n)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.indptr[1:])
-        self.nbr = dst[order]
-        self.wgt = wgt[order]
-        self.strength = np.bincount(src, weights=wgt, minlength=n)
+        self.indptr, self.nbr, self.wgt = _csr(len(nodes), eu, ev, ew)
+        # Summed in (eu, ev) edge order, not CSR row order: Louvain's float sums rely on it.
+        self.strength = np.bincount(np.concatenate([eu, ev]), weights=np.concatenate([ew, ew]),
+                                    minlength=len(nodes))
         self.total_weight = float(ew.sum())
 
     @property
@@ -196,10 +213,7 @@ class UndirectedGraph:
 
 def to_undirected(g: RetweetGraph) -> UndirectedGraph:
     """Sum the two directed weights per unordered pair; the node table is shared."""
-    pair_key = np.minimum(g.src, g.dst) << _KEY_BITS | np.maximum(g.src, g.dst)
-    keys, pair_of_edge = np.unique(pair_key, return_inverse=True)
-    ew = np.bincount(pair_of_edge, weights=g.weight, minlength=keys.size)
-    return UndirectedGraph._from_edges(g.nodes, *_split_keys(keys), ew)
+    return UndirectedGraph._from_edges(g.nodes, *_pair_sums(g.src, g.dst, g.weight))
 
 
 def internal_link_density(g: RetweetGraph, labels: Sequence[int] | np.ndarray) -> np.ndarray:

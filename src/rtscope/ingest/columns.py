@@ -122,7 +122,7 @@ _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
 def _pack(key: str, strings: list[str]) -> dict[str, np.ndarray]:
-    encoded = [s.encode("utf-8", "surrogatepass") for s in strings]
+    encoded = [s.encode("utf-8") for s in strings]
     offsets = np.zeros(len(encoded) + 1, dtype=_I64)
     np.cumsum(np.fromiter(map(len, encoded), dtype=_I64, count=len(encoded)), out=offsets[1:])
     return {key: np.frombuffer(b"".join(encoded), dtype=_U8), f"{key}_offsets": offsets}
@@ -176,7 +176,7 @@ def _strings(arrays: dict[str, np.ndarray], key: str) -> list[str]:
     _check_offsets(offsets, arrays[key].size, f"{key} offsets")
     blob = arrays[key].tobytes()
     bounds = offsets.tolist()
-    return [blob[a:b].decode("utf-8", "surrogatepass") for a, b in zip(bounds, bounds[1:])]
+    return [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
 
 
 def _in_range(values: np.ndarray, low: int, high: int) -> bool:

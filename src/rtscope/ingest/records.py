@@ -100,12 +100,26 @@ def record_from_obj(obj: dict) -> TweetRecord:
     )
 
 
+def _require_utf8(record: TweetRecord) -> None:
+    for value in (record.tweet_id, record.author_id, record.retweeted_author_id or "",
+                  record.retweeted_tweet_id or "", *record.urls):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedRecord(f"string {value!r} is not valid Unicode") from exc
+
+
 def parse_tweet_line(line: str) -> TweetRecord:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedRecord(f"invalid JSON: {exc.msg}") from exc
-    return record_from_obj(obj)
+    record = record_from_obj(obj)
+    # A lone surrogate, which no UTF-8 file can hold, enters through a \u
+    # escape, or raw in a line that was not decoded from bytes.
+    if "\\u" in line or not line.isascii():
+        _require_utf8(record)
+    return record
 
 
 def parse_tweet_stream(

@@ -35,7 +35,6 @@ from rtscope.metrics import UserProfile
 
 log = logging.getLogger(__name__)
 
-CACHE_DIR_ENV = "RTSCOPE_SERVICE_CACHE"
 COLUMNS_FILE = "columns.npz"
 
 
@@ -346,11 +345,10 @@ class RunContext:
         if config.service_endpoint:
             if table is None:
                 table = BotScoreTable()
-            cache_dir = config.service_cache_dir or os.environ.get(CACHE_DIR_ENV)
             client = BotScoreClient(
                 endpoint=config.service_endpoint,
                 token=os.environ.get(config.service_token_env),
-                cache_dir=cache_dir,
+                cache_dir=config.service_cache_dir,
                 requests_per_minute=config.service_rpm,
             )
             unavailable = client.fetch_into(table, list(self.graph.nodes.names))

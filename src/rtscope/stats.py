@@ -33,21 +33,6 @@ class TestResult:
     p_fraction: Fraction | None = None
 
 
-def _midranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        midrank = (i + j) / 2 + 1
-        for pos in range(i, j + 1):
-            ranks[order[pos]] = midrank
-        i = j + 1
-    return ranks
-
-
 def _rank_sum_counts(doubled_ranks: Sequence[int], size: int) -> dict[int, int]:
     """Ways to pick ``size`` of the given items per doubled-rank sum (exact ints)."""
     ways: list[dict[int, int]] = [{} for _ in range(size + 1)]
@@ -92,22 +77,24 @@ def mann_whitney(
     n1, n2 = len(xs), len(ys)
     if n1 < 1 or n2 < 1:
         raise DomainError("both samples must be non-empty")
-    pooled = xs + ys
-    if min(pooled) == max(pooled):
+    # Tie groups in ascending order: a group of t values ending at sorted
+    # position e (1-based) shares the midrank e - (t - 1) / 2, kept doubled as
+    # an exact integer.
+    _, group_of, ties = np.unique(xs + ys, return_inverse=True, return_counts=True)
+    if ties.size == 1:
         raise DegenerateInputError("all values identical across both samples")
-
-    ranks = _midranks(pooled)
-    rank_sum_a = sum(ranks[:n1])
+    doubled = (2 * np.cumsum(ties) - ties + 1)[group_of]
+    doubled_sum_a = int(doubled[:n1].sum())
+    rank_sum_a = doubled_sum_a / 2
     u_a = rank_sum_a - n1 * (n1 + 1) / 2.0
     n = n1 + n2
 
     if n1 <= EXACT_MAX_SIZE and n2 <= EXACT_MAX_SIZE:
-        doubled = [round(2 * r) for r in ranks]
-        counts = _rank_sum_counts(doubled, n1)
+        counts = _rank_sum_counts(doubled.tolist(), n1)
         total = comb(n, n1)
         # Work in doubled rank-sum units; the null mean of the rank sum is
         # n1*(n+1)/2, so the doubled mean is exactly n1*(n+1).
-        obs = round(2 * rank_sum_a)
+        obs = doubled_sum_a
         center = n1 * (n + 1)
         if alternative == "two-sided":
             dev = abs(obs - center)
@@ -124,16 +111,8 @@ def mann_whitney(
             p_fraction=p_fraction,
         )
 
-    tie_sum = 0
-    i = 0
-    sorted_pooled = sorted(pooled)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_pooled[j + 1] == sorted_pooled[i]:
-            j += 1
-        t = j - i + 1
-        tie_sum += t * t * t - t
-        i = j + 1
+    # As Python ints: t**3 overflows int64 once a tie group passes 2**21 values.
+    tie_sum = sum(t * t * t - t for t in ties[ties > 1].tolist())
     tie_factor = 1.0 - tie_sum / (n**3 - n)
     sigma = math.sqrt(tie_factor * n1 * n2 * (n + 1) / 12.0)
     if sigma == 0.0:

@@ -20,7 +20,7 @@ from rtscope.errors import ConfigError
 from rtscope.graph import NodeTable
 from rtscope.ingest.botscores import BotScoreTable
 from rtscope.ingest.catalog import SourceCatalog
-from rtscope.ingest.records import TweetRecord, record_to_json
+from rtscope.ingest.records import TweetRecord, write_tweet_file
 
 _BASE_TIMESTAMP = 1_546_300_800  # fixed epoch base so outputs never depend on the clock
 _BERNOULLI_PAIR_LIMIT = 4_000_000
@@ -404,10 +404,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: Path | str) -> d
         "bot_scores": out / "bot_scores.csv",
         "ground_truth": out / "ground_truth.json",
     }
-    with open(paths["tweets"], "w", encoding="utf-8", newline="\n") as fh:
-        for record in dataset.iter_records():
-            fh.write(record_to_json(record))
-            fh.write("\n")
+    write_tweet_file(dataset.iter_records(), paths["tweets"])
     paths["unreliable_sources"].write_text(
         "".join(f"{d}\n" for d in dataset.unreliable_domains), encoding="utf-8"
     )

@@ -342,6 +342,21 @@ class TestColumnCache:
         assert "Traceback" not in proc.stderr
         assert "columns.npz" in proc.stderr
 
+    def test_lone_surrogate_in_names_exits_2(self, fixture_dir, full_run_dir, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(full_run_dir, out)
+        with np.load(out / "columns.npz") as data:
+            arrays = {key: data[key].copy() for key in data.files}
+        # The first author name gains the UTF-8-style encoding of U+D800.
+        surrogate = np.frombuffer(b"\xed\xa0\x80", np.uint8)
+        arrays["names"] = np.concatenate([surrogate, arrays["names"]])
+        arrays["names_offsets"][1:] += 3
+        np.savez(out / "columns.npz", **arrays)
+        proc = _run_cli(*_stage_args("graph", fixture_dir, out))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "columns.npz" in proc.stderr
+
     def test_changed_tweet_file_is_refused(self, fixture_dir, full_run_dir, tmp_path):
         out = tmp_path / "out"
         shutil.copytree(full_run_dir, out)
@@ -435,6 +450,37 @@ class TestCli:
         assert (tmp_path / "out" / "manifest.json").exists()
         payload = json.loads(capsys.readouterr().out)
         assert payload["reconciliation"]["consistent"]
+
+    def test_lone_surrogate_record_is_tallied_not_fatal(self, tmp_path):
+        reliable, unreliable = "http://n.example/", "http://f.example/"
+        records = [
+            dict(tweet_id="t1", author_id="a", timestamp=1,
+                 urls=[reliable + "1", reliable + "2", unreliable + "3", unreliable + "4"]),
+            dict(tweet_id="t2", author_id="b", timestamp=2, retweeted_author_id="a",
+                 retweeted_tweet_id="t1", urls=[reliable + "1", reliable + "2", unreliable + "3"]),
+            dict(tweet_id="t3", author_id="c", timestamp=3, retweeted_author_id="a",
+                 retweeted_tweet_id="t1", urls=[reliable + "1"]),
+            dict(tweet_id="t4", author_id="d", timestamp=4,
+                 urls=[unreliable + "3", unreliable + "4"]),
+            dict(tweet_id="t5", author_id="e", timestamp=5, retweeted_author_id="d",
+                 retweeted_tweet_id="t4", urls=[unreliable + "4"]),
+        ]
+        lines = [json.dumps(r) for r in records]
+        lines.append('{"tweet_id":"t6","author_id":"u\\ud800x","timestamp":6,'
+                     '"retweeted_author_id":"d","retweeted_tweet_id":"t4"}')
+        (tmp_path / "tweets.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (tmp_path / "unreliable.txt").write_text("f.example\n", encoding="utf-8")
+        (tmp_path / "reliable.txt").write_text("n.example\n", encoding="utf-8")
+        proc = _run_cli(
+            "all", "--tweets", str(tmp_path / "tweets.jsonl"),
+            "--unreliable-sources", str(tmp_path / "unreliable.txt"),
+            "--reliable-sources", str(tmp_path / "reliable.txt"),
+            "--min-shares", "1", "--n-reshuffles", "2", "-o", str(tmp_path / "out"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        report = json.loads((tmp_path / "out" / "parse_report.json").read_text(encoding="utf-8"))
+        assert (report["parsed"], report["malformed"]) == (5, 1)
 
     def test_validation_error_exit_1(self, tmp_path, capsys):
         code = cli.main(["all", "--success-quantile", "2.0", "-o", str(tmp_path)])

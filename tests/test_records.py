@@ -49,6 +49,31 @@ class TestParsing:
         assert report.parsed == 2
         assert report.errors[0][0] == 2  # line number of the bad line
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            r'{"tweet_id":"1","author_id":"u\ud800x","timestamp":0}',
+            r'{"tweet_id":"1","author_id":"a","timestamp":0,"urls":["x.example/\udfff"]}',
+            r'{"tweet_id":"1","author_id":"a","timestamp":0,'
+            r'"retweeted_author_id":"b","retweeted_tweet_id":"\ud83d"}',
+            '{"tweet_id":"1","author_id":"u\ud800x","timestamp":0}',  # raw, in a str source
+        ],
+        ids=["author", "url", "retweeted-tweet", "raw"],
+    )
+    def test_lone_surrogate_is_malformed(self, line):
+        report = ParseReport()
+        ok = '{"tweet_id":"2","author_id":"b","timestamp":1}'
+        records = list(parse_tweet_stream([line, ok], report))
+        assert [r.tweet_id for r in records] == ["2"]
+        assert report.malformed == 1
+        assert "not valid Unicode" in report.errors[0][1]
+
+    def test_escaped_pair_and_unused_field_surrogate_are_kept(self):
+        rec = parse_tweet_line(
+            r'{"tweet_id":"1","author_id":"😀","timestamp":0,"note":"\ud800"}'
+        )
+        assert rec.author_id == "\U0001f600"
+
     def test_duplicate_ids_are_tallied(self):
         report = ParseReport()
         line = '{"tweet_id":"1","author_id":"a","timestamp":0,"urls":[]}'
