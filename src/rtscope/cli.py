@@ -5,44 +5,22 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from rtscope import pipeline
 from rtscope.errors import ToolkitError
-
-_FLAG_HELP = {
-    "tweets": "line-delimited tweet record file",
-    "unreliable_sources": "blacklist of unreliable domains, one per line",
-    "reliable_sources": "whitelist of reliable domains, one per line",
-    "bot_scores": "CSV of user_id,bot_score",
-    "service_endpoint": "HTTP endpoint of a bot-scoring service",
-    "service_token_env": "environment variable holding the service token",
-    "service_rpm": "scoring-service requests per minute",
-    "service_cache_dir": "on-disk cache directory for fetched scores",
-    "louvain_seed": "seed for the community-detection sweep order",
-    "null_seed": "seed for null-model reshuffles",
-    "n_reshuffles": "number of pooled reshuffles in the null model",
-    "top_k": "how many largest communities to report (RT1..RTk)",
-    "min_shares": "keep URLs shared strictly more than this many times",
-    "entropy_low": "upper bound of the low entropy class",
-    "entropy_high": "upper bound of the medium entropy class",
-    "success_quantile": "retweet-count quantile defining success",
-    "op_bs_cutoff": "OP bot-score cutoff for the high-BS URL report",
-    "curve_points": "number of thresholds on each success curve",
-    "out_dir": "output directory for all artifacts",
-}
 
 _STAGES = (*pipeline.STAGES, "all")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="flat key = value config file")
-    for key, help_text in _FLAG_HELP.items():
-        flag = "--" + key.replace("_", "-")
-        if key == "out_dir":
-            parser.add_argument("-o", flag, dest=key, default=None, help=help_text)
-        else:
-            parser.add_argument(flag, dest=key, default=None, help=help_text)
+    for f in fields(pipeline.RunConfig):
+        flags = ["--" + f.name.replace("_", "-")]
+        if f.name == "out_dir":
+            flags.insert(0, "-o")
+        parser.add_argument(*flags, dest=f.name, default=None, help=f.metadata["help"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> pipeline.RunConfig:
     file_values = pipeline.load_config_file(args.config) if args.config else {}
-    overrides = {key: getattr(args, key) for key in _FLAG_HELP if getattr(args, key) is not None}
+    overrides = {key: getattr(args, key) for key in pipeline.CONFIG_KEYS}
     return pipeline.config_from_sources(file_values, overrides)
 
 

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -16,33 +17,22 @@ from rtscope.errors import InputError, ProtocolError, ScoreUnavailableError
 
 log = logging.getLogger(__name__)
 
-PROVENANCE_FILE = "file"
-PROVENANCE_SERVICE = "service"
-
 
 class BotScoreTable:
-    """Per-user raw bot scores in [0, 1] with provenance bookkeeping."""
+    """Per-user raw bot scores in [0, 1], plus the rows a CSV load rejected."""
 
     def __init__(self) -> None:
         self._scores: dict[str, float] = {}
-        self._provenance: dict[str, str] = {}
         self.rejected_rows: list[tuple[int, str]] = []
 
-    def put(self, user_id: str, score: float, provenance: str = PROVENANCE_FILE) -> None:
+    def put(self, user_id: str, score: float) -> None:
         score = float(score)
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"bot score {score} outside [0, 1]")
         self._scores[user_id] = score
-        self._provenance[user_id] = provenance
 
     def get(self, user_id: str) -> float | None:
         return self._scores.get(user_id)
-
-    def provenance_of(self, user_id: str) -> str | None:
-        return self._provenance.get(user_id)
-
-    def users(self) -> list[str]:
-        return list(self._scores)
 
     def __contains__(self, user_id: str) -> bool:
         return user_id in self._scores
@@ -75,7 +65,7 @@ def load_bot_scores(path: Path | str) -> BotScoreTable:
                 table.rejected_rows.append((row_no, f"non-numeric score {row[1]!r}"))
                 continue
             try:
-                table.put(row[0], score, provenance=PROVENANCE_FILE)
+                table.put(row[0], score)
             except ValueError:
                 table.rejected_rows.append((row_no, f"score {score} outside [0, 1]"))
     if table.rejected_rows:
@@ -111,8 +101,8 @@ class BotScoreClient:
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        if requests_per_minute <= 0:
-            raise ValueError("requests_per_minute must be positive")
+        if not 0 < requests_per_minute < math.inf:
+            raise ValueError("requests_per_minute must be positive and finite")
         self.endpoint = endpoint.rstrip("?")
         self.token = token
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
@@ -254,5 +244,5 @@ class BotScoreClient:
                 log.warning("%s", exc)
                 unavailable += 1
                 continue
-            table.put(user_id, score, provenance=PROVENANCE_SERVICE)
+            table.put(user_id, score)
         return unavailable

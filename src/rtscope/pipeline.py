@@ -14,11 +14,12 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, get_args, get_type_hints
 
 import numpy as np
 
@@ -38,27 +39,36 @@ log = logging.getLogger(__name__)
 COLUMNS_FILE = "columns.npz"
 
 
+def _key(default: Any, help_text: str) -> Any:
+    """One config key: its default, and the help text of its ``--flag``."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass
 class RunConfig:
-    tweets: Path | None = None
-    unreliable_sources: Path | None = None
-    reliable_sources: Path | None = None
-    bot_scores: Path | None = None
-    service_endpoint: str | None = None
-    service_token_env: str = "RTSCOPE_SERVICE_TOKEN"
-    service_rpm: float = 30.0
-    service_cache_dir: Path | None = None
-    louvain_seed: int = 0
-    null_seed: int = 0
-    n_reshuffles: int = 100
-    top_k: int = 5
-    min_shares: int = 100
-    entropy_low: float = 0.4
-    entropy_high: float = 0.9
-    success_quantile: float = 0.75
-    op_bs_cutoff: float = 0.75
-    curve_points: int = 100
-    out_dir: Path = Path("rtscope-out")
+    """Every config key, declared once: name, type, default and flag help."""
+
+    tweets: Path | None = _key(None, "line-delimited tweet record file")
+    unreliable_sources: Path | None = _key(None, "blacklist of unreliable domains, one per line")
+    reliable_sources: Path | None = _key(None, "whitelist of reliable domains, one per line")
+    bot_scores: Path | None = _key(None, "CSV of user_id,bot_score")
+    service_endpoint: str | None = _key(None, "HTTP endpoint of a bot-scoring service")
+    service_token_env: str = _key(
+        "RTSCOPE_SERVICE_TOKEN", "environment variable holding the service token"
+    )
+    service_rpm: float = _key(30.0, "scoring-service requests per minute")
+    service_cache_dir: Path | None = _key(None, "on-disk cache directory for fetched scores")
+    louvain_seed: int = _key(0, "seed for the community-detection sweep order")
+    null_seed: int = _key(0, "seed for null-model reshuffles")
+    n_reshuffles: int = _key(100, "number of pooled reshuffles in the null model")
+    top_k: int = _key(5, "how many largest communities to report (RT1..RTk)")
+    min_shares: int = _key(100, "keep URLs shared strictly more than this many times")
+    entropy_low: float = _key(0.4, "upper bound of the low entropy class")
+    entropy_high: float = _key(0.9, "upper bound of the medium entropy class")
+    success_quantile: float = _key(0.75, "retweet-count quantile defining success")
+    op_bs_cutoff: float = _key(0.75, "OP bot-score cutoff for the high-BS URL report")
+    curve_points: int = _key(100, "number of thresholds on each success curve")
+    out_dir: Path = _key(Path("rtscope-out"), "output directory for all artifacts")
 
     def validate(self) -> None:
         problems: list[str] = []
@@ -71,8 +81,8 @@ class RunConfig:
             problems.append(f"success_quantile {self.success_quantile} outside (0, 1)")
         if not 0.0 <= self.op_bs_cutoff <= 1.0:
             problems.append(f"op_bs_cutoff {self.op_bs_cutoff} outside [0, 1]")
-        if self.service_rpm <= 0:
-            problems.append(f"service_rpm {self.service_rpm} must be positive")
+        if not 0.0 < self.service_rpm < math.inf:
+            problems.append(f"service_rpm {self.service_rpm} must be positive and finite")
         for key in ("louvain_seed", "null_seed"):
             if getattr(self, key) < 0:
                 problems.append(f"{key} must be non-negative")
@@ -98,42 +108,25 @@ class RunConfig:
         return out
 
 
-_PATH_KEYS = {
-    "tweets",
-    "unreliable_sources",
-    "reliable_sources",
-    "bot_scores",
-    "service_cache_dir",
-    "out_dir",
-}
-_INT_KEYS = {"louvain_seed", "null_seed", "n_reshuffles", "top_k", "min_shares", "curve_points"}
-_FLOAT_KEYS = {
-    "service_rpm",
-    "entropy_low",
-    "entropy_high",
-    "success_quantile",
-    "op_bs_cutoff",
-}
-_STR_KEYS = {"service_endpoint", "service_token_env"}
-CONFIG_KEYS = _PATH_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+def _parser(hint: Any) -> Callable[[str], Any]:
+    """The type that parses a key's text: ``Path | None`` parses as ``Path``."""
+    return next((t for t in get_args(hint) if t is not type(None)), hint)
+
+
+_PARSERS = {key: _parser(hint) for key, hint in get_type_hints(RunConfig).items()}
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def _coerce(key: str, value: str) -> Any:
     try:
-        if key in _PATH_KEYS:
-            return Path(value)
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        return value
+        return _PARSERS[key](value)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {value!r}: {exc}") from exc
 
 
-def load_config_file(path: Path | str) -> dict[str, Any]:
-    """Parse a flat ``key = value`` file (# comments, blank lines allowed)."""
-    values: dict[str, Any] = {}
+def load_config_file(path: Path | str) -> dict[str, str]:
+    """Parse a flat ``key = value`` file (# comments, blank lines allowed) into raw strings."""
+    values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -148,7 +141,7 @@ def load_config_file(path: Path | str) -> dict[str, Any]:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw.strip())
+        values[key] = raw.strip()
     return values
 
 

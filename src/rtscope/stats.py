@@ -77,10 +77,13 @@ def mann_whitney(
     n1, n2 = len(xs), len(ys)
     if n1 < 1 or n2 < 1:
         raise DomainError("both samples must be non-empty")
+    pooled = np.array(xs + ys)
+    if np.isnan(pooled).any():  # NaN has no rank; inf does
+        raise DomainError("samples must not contain NaN")
     # Tie groups in ascending order: a group of t values ending at sorted
     # position e (1-based) shares the midrank e - (t - 1) / 2, kept doubled as
     # an exact integer.
-    _, group_of, ties = np.unique(xs + ys, return_inverse=True, return_counts=True)
+    _, group_of, ties = np.unique(pooled, return_inverse=True, return_counts=True)
     if ties.size == 1:
         raise DegenerateInputError("all values identical across both samples")
     doubled = (2 * np.cumsum(ties) - ties + 1)[group_of]

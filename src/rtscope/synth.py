@@ -242,10 +242,7 @@ class SyntheticDataset:
         return table
 
     def node_table(self) -> NodeTable:
-        nodes = NodeTable()
-        for author in self.author_ids:
-            nodes.intern(author)
-        return nodes
+        return NodeTable.from_names(self.author_ids)
 
     def partition(self) -> Partition:
         return Partition(

@@ -19,7 +19,6 @@ class TestLoadBotScores:
         path.write_text("user_id,bot_score\nu1,0.39\n", encoding="utf-8")
         table = load_bot_scores(path)
         assert table.get("u1") == 0.39
-        assert table.provenance_of("u1") == "file"
 
     def test_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "bs.csv"
@@ -186,7 +185,6 @@ class TestBotScoreClient:
         table = BotScoreTable()
         assert client.fetch_into(table, ["u0"]) == 0
         assert table.get("u0") == 0.0
-        assert table.provenance_of("u0") == "service"
 
     def test_backoff_after_throttling(self, tmp_path):
         # 429 twice, then success: the scripted oracle asserts the call
@@ -233,6 +231,12 @@ class TestBotScoreClient:
         _fetch(client, "a")
         _fetch(client, "b")
         assert any(abs(s - 2.0) < 1e-9 for s in clock.sleeps)
+
+    @pytest.mark.parametrize("rpm", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rate_must_be_positive_and_finite(self, tmp_path, rpm):
+        # nan or inf would make every throttle wait non-positive: no spacing at all
+        with pytest.raises(ValueError):
+            _client(tmp_path, [], requests_per_minute=rpm)
 
     def test_network_errors_retry_then_give_up(self, tmp_path):
         client, transport, _ = _client(

@@ -7,9 +7,11 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ import rtscope
 from rtscope import cli
 from rtscope.errors import ConfigError
 from rtscope.pipeline import (
+    CONFIG_KEYS,
     STAGES,
     RunConfig,
     config_from_sources,
@@ -412,6 +415,7 @@ top_k = 3
             encoding="utf-8",
         )
         values = load_config_file(config_file)
+        assert values["min_shares"] == "10"  # raw text; config_from_sources parses it
         config = config_from_sources(values, {"min_shares": "25", "out_dir": str(tmp_path)})
         assert config.min_shares == 25  # CLI override wins
         assert config.top_k == 3
@@ -428,8 +432,34 @@ top_k = 3
             config_from_sources({}, {"success_quantile": "1.5"})
         with pytest.raises(ConfigError):
             config_from_sources({}, {"entropy_low": "0.9", "entropy_high": "0.4"})
-        with pytest.raises(ConfigError):
-            config_from_sources({}, {"service_rpm": "0"})
+        # a non-finite rate would leave the scoring-service client unthrottled
+        for rpm in ("0", "nan", "inf"):
+            with pytest.raises(ConfigError, match="service_rpm"):
+                config_from_sources({}, {"service_rpm": rpm})
+
+    def test_unparsable_file_value_rejected(self, tmp_path):
+        config_file = tmp_path / "run.conf"
+        config_file.write_text("top_k = many\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="top_k"):
+            config_from_sources(load_config_file(config_file))
+
+
+class TestConfigDeclaration:
+    """RunConfig declares each key once; README and the CLI follow it."""
+
+    def test_readme_lists_every_key_in_field_order(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme.split("\nConfig keys", 1)[1].split("\n\n", 1)[0]
+        key_list = paragraph.split("):", 1)[1].split(".", 1)[0]
+        assert tuple(re.findall(r"`([^`]+)`", key_list)) == CONFIG_KEYS
+
+    @pytest.mark.parametrize("command", [*STAGES, "all"])
+    def test_every_key_has_help_and_a_flag(self, command):
+        parser = cli.build_parser()
+        for f in fields(RunConfig):
+            assert f.metadata["help"].strip(), f.name
+            args = parser.parse_args([command, "--" + f.name.replace("_", "-"), "7"])
+            assert getattr(args, f.name) == "7"
 
 
 class TestCli:
@@ -481,6 +511,14 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         report = json.loads((tmp_path / "out" / "parse_report.json").read_text(encoding="utf-8"))
         assert (report["parsed"], report["malformed"]) == (5, 1)
+
+    @pytest.mark.parametrize("rpm", ["nan", "inf"])
+    def test_non_finite_service_rpm_exit_1_before_any_stage(self, fixture_dir, tmp_path, rpm):
+        out = tmp_path / "out"
+        code, err = _main_stderr([*_stage_args("scores", fixture_dir, out), "--service-rpm", rpm])
+        assert code == 1, err
+        assert "service_rpm" in err
+        assert not out.exists()
 
     def test_validation_error_exit_1(self, tmp_path, capsys):
         code = cli.main(["all", "--success-quantile", "2.0", "-o", str(tmp_path)])

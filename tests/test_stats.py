@@ -95,6 +95,15 @@ class TestMannWhitney:
         with pytest.raises(DomainError):
             mann_whitney([], [1.0])
 
+    def test_nan_rejected_inf_ranked(self):
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(DomainError):
+            mann_whitney([1.0, nan] + [2.0] * 20, [3.0] * 20 + [1.5])
+        with pytest.raises(DomainError):
+            mann_whitney([1.0, 2.0], [3.0, nan])
+        # inf outranks every number: a's top value beats all of b
+        assert mann_whitney([0.0, inf], [1.0, 2.0]).u_statistic == 2.0
+
     def test_exact_method_boundary(self):
         a = list(range(12))
         b = list(range(6, 18))
