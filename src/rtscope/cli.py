@@ -4,9 +4,15 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+# rtscope calls no BLAS routine, so one OpenBLAS thread spares the CPU that
+# more threads burn when numpy is imported, as the next import does. A value
+# set by the user still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from rtscope import pipeline
 from rtscope.errors import ToolkitError

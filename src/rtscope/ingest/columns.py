@@ -14,6 +14,7 @@ every index range, so a damaged cache is an ``InputError`` on load.
 """
 from __future__ import annotations
 
+import tokenize
 import zipfile
 from array import array
 from dataclasses import dataclass
@@ -220,7 +221,8 @@ def load_columns(path: Path | str) -> tuple[TweetColumns, str, str]:
         if arrays["source_sha256"].size != 32:
             raise ValueError("source sha256 is not 32 bytes")
         source_name = arrays["source_name"].tobytes().decode("utf-8", "surrogatepass")
-    except (OSError, EOFError, ValueError, NotImplementedError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, ValueError, NotImplementedError, zipfile.BadZipFile,
+            SyntaxError, tokenize.TokenError) as exc:  # the last two: a damaged .npy header
         raise InputError(f"{path}: invalid column cache: {exc}") from exc
     columns = TweetColumns(
         names=names,

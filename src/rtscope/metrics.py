@@ -51,8 +51,11 @@ def user_tallies(
     """
     columns = as_columns(tweets)
     rows = np.flatnonzero(np.diff(columns.url_ptr))  # records with a valid URL
-    rank = np.array([_CLASS_RANK[classify_domain(u, catalog)] for u in columns.urls],
-                    dtype=np.int64)
+    # The class depends only on the host: classify one URL per distinct host.
+    hosts = [u.host for u in columns.urls]
+    rank_of = {host: _CLASS_RANK[classify_domain(u, catalog)]
+               for host, u in dict(zip(hosts, columns.urls)).items()}
+    rank = np.array([rank_of[host] for host in hosts], dtype=np.int64)
     row_rank = np.maximum.reduceat(rank[columns.url_ids], columns.url_ptr[rows])
     matched = row_rank > 0
     authors = columns.author[rows[matched]].astype(np.int64)
@@ -221,16 +224,21 @@ def build_url_table(
     bot_scores: BotScoreTable | None = None,
     entropy_low: float = 0.4,
     entropy_high: float = 0.9,
+    min_shares: int = 0,
 ) -> list[UrlDiffusionRecord]:
-    """Every URL's diffusion record, from the tweet columns (or records).
+    """The diffusion record of every URL shared more than ``min_shares`` times.
 
-    URLs appear in first-seen order. Retweeter averages exclude original
-    posters; a URL seen only in retweets keeps an empty OP set and is
-    thereby excluded from OP-conditioned analyses downstream.
+    Built from the tweet columns (or records); the result equals
+    ``filter_urls(build_url_table(...), min_shares)``, but no record is built
+    for a URL at or under the threshold. Every author with a URL must be in
+    the partition, whatever its URLs' share counts. URLs appear in first-seen
+    order. Retweeter averages exclude original posters; a URL seen only in
+    retweets keeps an empty OP set and is thereby excluded from
+    OP-conditioned analyses downstream.
     """
     columns = as_columns(tweets)
-    n_urls, span = len(columns.urls), len(nodes)
-    if not n_urls:
+    span = len(nodes)
+    if not columns.urls:
         return []
     per_row = np.diff(columns.url_ptr)
     node_of = np.zeros(len(columns.names), dtype=np.int64)
@@ -246,10 +254,18 @@ def build_url_table(
         if bot_scores is not None and name in bot_scores:
             bs_value[idx] = bot_scores.get(name)
 
-    # One entry per (record, URL): the URL id, the author's node and its community.
+    # One entry per (record, URL) of a kept URL: the URL renumbered densely in
+    # first-seen order, the author's node and its community.
     url = columns.url_ids.astype(np.int64)
-    member = np.repeat(node_of[columns.author], per_row)
-    retweet = np.repeat(columns.retweeted >= 0, per_row)
+    kept = np.bincount(url, minlength=len(columns.urls)) > min_shares
+    entry = kept[url]
+    url = (np.cumsum(kept) - 1)[url[entry]]
+    urls = [columns.urls[i] for i in np.flatnonzero(kept).tolist()]
+    n_urls = len(urls)
+    if not n_urls:
+        return []
+    member = np.repeat(node_of[columns.author], per_row)[entry]
+    retweet = np.repeat(columns.retweeted >= 0, per_row)[entry]
     label = partition.labels[member]
 
     # Each URL's shares list its communities in first-seen order, as entropy sums them.
@@ -273,7 +289,7 @@ def build_url_table(
         h = entropy(shares[i])
         records.append(
             UrlDiffusionRecord(
-                url=columns.urls[i],
+                url=urls[i],
                 shares_by_community=dict(sorted(shares[i].items())),
                 total_shares=sum(shares[i].values()),
                 retweets=retweets[i],

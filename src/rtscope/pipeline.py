@@ -356,7 +356,7 @@ class RunContext:
         partition = self.partition
         profiles = self.profiles
         bot_table, _ = self.bot_scores
-        table = metrics_mod.build_url_table(
+        filtered = metrics_mod.build_url_table(
             tweets,
             partition,
             nodes,
@@ -364,8 +364,8 @@ class RunContext:
             bot_table,
             entropy_low=config.entropy_low,
             entropy_high=config.entropy_high,
+            min_shares=config.min_shares,
         )
-        filtered = metrics_mod.filter_urls(table, config.min_shares)
         threshold = None
         if len(filtered) >= 4:
             threshold = stats_mod.success_threshold(
@@ -378,7 +378,7 @@ class RunContext:
                 len(filtered),
             )
         counts = {
-            "urls_total": len(table),
+            "urls_total": len(tweets.urls),
             "urls_filtered": len(filtered),
             "success_threshold": threshold,
             "urls_successful": sum(1 for r in filtered if r.successful),

@@ -84,3 +84,22 @@ def test_member_with_another_dtype_is_refused(tmp_path):
     np.savez(path, **arrays)
     with pytest.raises(InputError, match="expected a 1-D <i4 array"):
         load_columns(path)
+
+
+def test_damaged_npy_header_is_an_input_error(tmp_path):
+    # Seven NUL bytes over "ape': (" of a member larger than zipfile's 4 KiB
+    # read-ahead: numpy's header parser fails (SyntaxError, then
+    # tokenize.TokenError) before the member's CRC is checked.
+    path = tmp_path / "columns.npz"
+    records = [TweetRecord(str(i), f"user{i:07d}", i, urls=(f"s{i % 7}.example/p{i}",))
+               for i in range(1000)]
+    save_columns(build_columns(records), path, "t.jsonl", SHA)
+    data = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as zf:
+        member = zf.getinfo("names.npy")
+    assert member.file_size > 4096
+    at = data.index(b"ape': (", member.header_offset)
+    data[at:at + 7] = bytes(7)
+    path.write_bytes(bytes(data))
+    with pytest.raises(InputError, match="columns.npz"):
+        load_columns(path)

@@ -563,6 +563,20 @@ class TestCli:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+    def test_openblas_threads_default_to_one(self, preset, want):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(rtscope.__file__).parents[1])
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import os, rtscope.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == want
+
 
 class TestNegativeSeeds:
     @pytest.mark.parametrize("flag", ["--louvain-seed", "--null-seed"])

@@ -9,6 +9,7 @@ and OP sets), from records and from columns read back from their cache.
 from __future__ import annotations
 
 import random
+from dataclasses import astuple
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -31,6 +32,7 @@ from rtscope.metrics import (
     build_url_table,
     entropy,
     entropy_class,
+    filter_urls,
     user_tallies,
     write_url_report,
 )
@@ -331,3 +333,61 @@ def test_url_table_never_classifies(monkeypatch):
 
     monkeypatch.setattr(metrics, "classify_domain", refuse)
     assert build_url_table(records, partition, nodes, profiles, bots)
+
+
+def test_classify_once_per_distinct_host(monkeypatch):
+    records, *_ = _records(3)
+    calls = []
+
+    def counting(url, catalog):
+        calls.append(url.host)
+        return classify_domain(url, catalog)
+
+    monkeypatch.setattr(metrics, "classify_domain", counting)
+    tallies = user_tallies(records, CATALOG)
+    urls = build_columns(records).urls
+    hosts = {u.host for u in urls}
+    assert len(urls) > 2 * len(hosts)
+    assert sorted(calls) == sorted(hosts)
+    assert list(tallies.items()) == list(reference_user_tallies(records, CATALOG).items())
+
+
+# -- the share threshold, applied before any record is built -----------------
+
+
+def _exact(table: list[UrlDiffusionRecord]) -> list[tuple]:
+    """Every field of every record, floats as ``float.hex`` and dicts as item lists."""
+    def cell(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, dict):
+            return list(value.items())
+        return value
+    return [tuple(cell(v) for v in astuple(r, tuple_factory=list)) for r in table]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_threshold_equals_filtering_the_whole_table(seed):
+    records, nodes, partition, profiles, bots = _records(seed)
+    columns = build_columns(records)
+    whole = build_url_table(columns, partition, nodes, profiles, bots)
+    totals = sorted(r.total_shares for r in whole)
+    top = totals[-1]
+    assert top > 1
+    for k in (0, 1, totals[len(totals) // 2], top - 1, top):
+        got = build_url_table(columns, partition, nodes, profiles, bots, min_shares=k)
+        want = filter_urls(whole, k)
+        assert _exact(got) == _exact(want), k
+        assert all(type(r.ops) is frozenset for r in got)
+    assert build_url_table(columns, partition, nodes, profiles, bots, min_shares=top) == []
+    assert build_url_table(columns, partition, nodes, profiles, bots, min_shares=top + 5) == []
+
+
+def test_missing_author_with_only_sub_threshold_urls_raises():
+    records, nodes, partition, profiles, bots = _records(2)
+    # "stranger" shares one URL once, so neither threshold keeps it; `top` keeps no URL.
+    records = records + [TweetRecord("s", "stranger", 0, urls=("stranger.example/x",))]
+    top = max(r.total_shares for r in build_url_table(records[:-1], partition, nodes, profiles))
+    for k in (1, top):
+        with pytest.raises(DataIntegrityError, match="stranger"):
+            build_url_table(records, partition, nodes, profiles, bots, min_shares=k)
