@@ -165,6 +165,27 @@ def _aggregate(
 _MAX_LEVELS = 64
 
 
+def _shared_list(values: np.ndarray) -> list:
+    """``values.tolist()`` with one Python object per distinct value, shared by every entry.
+
+    A level's CSR has far more arcs than nodes or distinct weights, so one
+    new int or float per arc would dominate its memory. Values are told
+    apart by their raw bits, so ``-0.0`` and ``0.0`` stay distinct and every
+    entry equals what ``tolist`` gives. ``values`` is a 1-D 8-byte array.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = np.empty(bits.size, dtype=object)
+    distinct[:] = bits.view(values.dtype).tolist()
+    return distinct[inverse].tolist()
+
+
+def _level_lists(
+    indptr: np.ndarray, nbr: np.ndarray, wgt: np.ndarray
+) -> tuple[list[int], list[int], list[float]]:
+    """A level's CSR as the Python lists ``_local_move`` sweeps."""
+    return indptr.tolist(), _shared_list(nbr), _shared_list(wgt)
+
+
 def _first_seen_labels(raw: np.ndarray) -> tuple[np.ndarray, int]:
     """Relabel densely: the k distinct values become 0..k-1 in order of first appearance."""
     _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
@@ -199,7 +220,7 @@ def louvain(
     inv_2m = 1.0 / (2.0 * m)
 
     eu, ev, ew = g.eu, g.ev, g.ew
-    indptr, nbr, wgt = g.indptr.tolist(), g.nbr.tolist(), g.wgt.tolist()
+    indptr, nbr, wgt = _level_lists(g.indptr, g.nbr, g.wgt)
     k = g.strength.astype(np.float64)
     self_w = np.zeros(n, dtype=np.float64)
     comm = list(range(n))
@@ -209,16 +230,20 @@ def louvain(
     # Q of the all-singleton start (level 0 has no self-loops).
     q_running = float(-np.sum((k * inv_2m) ** 2))
 
-    for _ in range(_MAX_LEVELS):
+    for level in range(_MAX_LEVELS):
         order = rng.permutation(n).tolist()
         sum_tot = k.tolist()
         moves, q_running = _local_move(
             indptr, nbr, wgt, k.tolist(), comm, sum_tot, order, inv_2m, q_running, trace
         )
+        log.debug("louvain level %d: %d nodes, %d arcs, %d moves, Q %r",
+                  level, n, len(nbr), moves, q_running)
         if moves == 0:
             break
         n, eu, ev, ew, self_w, k, new_of = _aggregate(eu, ev, ew, self_w, k, comm)
-        indptr, nbr, wgt = (a.tolist() for a in _csr(n, eu, ev, ew))
+        # Free this level's lists before the next level's are built.
+        del indptr, nbr, wgt
+        indptr, nbr, wgt = _level_lists(*_csr(n, eu, ev, ew))
         # Route every original node through the freshly aggregated supernodes.
         node_map = new_of[node_map]
         comm = list(range(n))

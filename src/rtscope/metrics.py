@@ -107,7 +107,7 @@ def untrustworthiness_printed_form(ratio: float, max_tweet_count: int) -> float:
     return 2.0 / (max_tweet_count + 1.0 / ratio)
 
 
-@dataclass
+@dataclass(slots=True)
 class UserProfile:
     user: int
     total: int

@@ -54,8 +54,8 @@ def _norm_sf(z: float) -> float:
 
 
 def mann_whitney(
-    a: Sequence[float],
-    b: Sequence[float],
+    a: Sequence[float] | np.ndarray,
+    b: Sequence[float] | np.ndarray,
     alternative: str = "two-sided",
 ) -> TestResult:
     """Mann-Whitney rank test with midrank tie handling.
@@ -72,12 +72,14 @@ def mann_whitney(
     """
     if alternative not in ("two-sided", "greater", "less"):
         raise ValueError(f"unknown alternative {alternative!r}")
-    xs = [float(v) for v in a]
-    ys = [float(v) for v in b]
-    n1, n2 = len(xs), len(ys)
+    xs = np.asarray(a, dtype=np.float64)
+    ys = np.asarray(b, dtype=np.float64)
+    if xs.ndim != 1 or ys.ndim != 1:
+        raise ValueError("samples must be one-dimensional")
+    n1, n2 = xs.size, ys.size
     if n1 < 1 or n2 < 1:
         raise DomainError("both samples must be non-empty")
-    pooled = np.array(xs + ys)
+    pooled = np.concatenate([xs, ys])
     if np.isnan(pooled).any():  # NaN has no rank; inf does
         raise DomainError("samples must not contain NaN")
     # Tie groups in ascending order: a group of t values ending at sorted
@@ -199,7 +201,7 @@ def null_model_report(
             comparison.skipped = "fewer than 2 null scores"
         else:
             try:
-                comparison.result = mann_whitney(observed.tolist(), null.tolist())
+                comparison.result = mann_whitney(observed, null)
             except DegenerateInputError as exc:
                 comparison.skipped = f"degenerate input: {exc}"
         report.append(comparison)

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import itertools
+import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from helpers import best_partition_bruteforce, labelings, modularity_oracle, pai
 from rtscope.errors import DomainError
 from rtscope.community import (
     Partition,
+    _shared_list,
     community_names,
     load_partition,
     louvain,
@@ -33,6 +36,23 @@ def _clique(span) -> list[tuple[int, int]]:
 
 
 TWO_CLIQUES_BRIDGE = pair_dict(_clique(range(5)) + _clique(range(5, 10)) + [(4, 5)])
+
+
+def _planted(n: int, n_comm: int, n_pairs: int, p_out: float, seed: int) -> UndirectedGraph:
+    """Random pairs, a share ``1 - p_out`` of them inside ``n_comm`` equal blocks; weights 1-3."""
+    rng = np.random.default_rng(seed)
+    size = n // n_comm
+    u = rng.integers(0, n, n_pairs)
+    inside = rng.random(n_pairs) >= p_out
+    v = np.where(inside, u // size * size + rng.integers(0, size, n_pairs),
+                 rng.integers(0, n, n_pairs))
+    w = rng.integers(1, 4, n_pairs).astype(np.float64)
+    pairs = {
+        (min(a, b), max(a, b)): x
+        for a, b, x in zip(u.tolist(), v.tolist(), w.tolist())
+        if a != b
+    }
+    return _graph(pairs, n)
 
 
 class TestModularity:
@@ -144,6 +164,34 @@ class TestLouvain:
         p = louvain(g, seed=0)
         assert p.modularity == pytest.approx(modularity(g, p.labels), abs=1e-9)
 
+    def test_logs_one_debug_line_per_level(self, caplog):
+        g = _planted(400, 4, 3000, 0.05, seed=3)
+        with caplog.at_level(logging.DEBUG, logger="rtscope.community"):
+            p = louvain(g, seed=1)
+        levels = [r.args for r in caplog.records if r.msg.startswith("louvain level")]
+        assert len(levels) >= 2
+        assert [lv[0] for lv in levels] == list(range(len(levels)))
+        assert levels[0][1:3] == (g.n_nodes, g.nbr.size)
+        assert all(lv[3] > 0 for lv in levels[:-1]) and levels[-1][3] == 0
+        assert levels[-1][1] == p.n_communities
+        assert levels[-1][4] == pytest.approx(p.modularity, abs=1e-12)
+
+    def test_peak_memory_per_arc(self):
+        # Each level's lists share one Python object per node and per distinct
+        # weight; one int and one float per arc would take about 100 B/arc.
+        g = _planted(4000, 4, 42_000, 0.05, seed=7)
+        arcs = g.nbr.size
+        assert arcs > 80_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            louvain(g, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / arcs < 70
+
     def test_isolated_nodes_become_singletons(self):
         pairs = pair_dict([(0, 1), (1, 2), (2, 0)])
         g = _graph(pairs, 5)  # nodes 3, 4 isolated
@@ -152,6 +200,25 @@ class TestLouvain:
         assert labels[0] == labels[1] == labels[2]
         assert len({labels[3], labels[4], labels[0]}) == 3
         assert p.n_communities == 3
+
+
+class TestSharedList:
+    @pytest.mark.parametrize("values", [
+        np.array([5, 300, -7, 300, 5, 2**40, 0, 2**40, 300], dtype=np.int64),
+        np.array([0.1, -0.0, 0.0, 0.1, 1e300, -0.0, 2.5, 0.0, float("inf"), 0.1]),
+    ])
+    def test_matches_tolist_with_one_object_per_bit_pattern(self, values):
+        shared = _shared_list(values)
+        plain = values.tolist()
+        assert [type(x) for x in shared] == [type(x) for x in plain]
+        assert [repr(x) for x in shared] == [repr(x) for x in plain]
+        if values.dtype == np.float64:
+            assert [x.hex() for x in shared] == [x.hex() for x in plain]
+        assert len({id(x) for x in shared}) == np.unique(values.view(np.int64)).size
+
+    def test_empty(self):
+        assert _shared_list(np.empty(0)) == []
+        assert _shared_list(np.empty(0, dtype=np.int64)) == []
 
 
 class TestReshuffle:

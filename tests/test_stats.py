@@ -104,6 +104,15 @@ class TestMannWhitney:
         # inf outranks every number: a's top value beats all of b
         assert mann_whitney([0.0, inf], [1.0, 2.0]).u_statistic == 2.0
 
+    def test_arrays_and_lists_agree(self):
+        rng = np.random.default_rng(4)
+        for n1, n2 in ((5, 9), (300, 3000)):
+            a = rng.integers(0, 20, n1).astype(np.float64)
+            b = rng.integers(0, 20, n2).astype(np.float64)
+            assert mann_whitney(a, b) == mann_whitney(a.tolist(), b.tolist())
+        with pytest.raises(ValueError):
+            mann_whitney(np.ones((2, 3)), [1.0, 2.0])
+
     def test_exact_method_boundary(self):
         a = list(range(12))
         b = list(range(6, 18))
