@@ -10,7 +10,8 @@ The cache is an uncompressed ``.npz`` of 1-D little-endian arrays (strings as
 one UTF-8 ``uint8`` blob plus ``int64`` offsets), written with fixed zip
 timestamps so that equal columns give equal bytes. ``load_columns`` reads
 only the member layout and dtypes it writes, never unpickles, and checks
-every index range, so a damaged cache is an ``InputError`` on load.
+every index range and string, so a damaged cache is an ``InputError`` on
+load. A loaded cache builds each ``NormalizedUrl`` only when it is read.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import zipfile
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,7 +46,7 @@ class TweetColumns:
     retweeted: np.ndarray
     url_ptr: np.ndarray
     url_ids: np.ndarray
-    urls: list[NormalizedUrl]
+    urls: Sequence[NormalizedUrl]
 
 
 def build_columns(records: Iterable[TweetRecord]) -> TweetColumns:
@@ -172,12 +173,41 @@ def _check_offsets(offsets: np.ndarray, total: int, what: str) -> None:
         raise ValueError(f"{what} decrease")
 
 
-def _strings(arrays: dict[str, np.ndarray], key: str) -> list[str]:
-    offsets = arrays[f"{key}_offsets"]
-    _check_offsets(offsets, arrays[key].size, f"{key} offsets")
-    blob = arrays[key].tobytes()
-    bounds = offsets.tolist()
-    return [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+def _string_table(arrays: dict[str, np.ndarray], key: str) -> tuple[str, np.ndarray]:
+    """A string table as one text and each string's character offsets into it.
+
+    The whole blob must decode, and no string may start at a continuation
+    byte: together these hold exactly when every string decodes on its own.
+    """
+    blob, offsets = arrays[key], arrays[f"{key}_offsets"]
+    _check_offsets(offsets, blob.size, f"{key} offsets")
+    text = str(blob.data, "utf-8")
+    continuation = np.flatnonzero((blob & 0xC0) == 0x80)
+    if np.isin(offsets, continuation).any():
+        raise ValueError(f"{key} offsets split a UTF-8 character")
+    return text, offsets - np.searchsorted(continuation, offsets)
+
+
+class _CachedUrls(Sequence[NormalizedUrl]):
+    """A loaded cache's URL table; each ``NormalizedUrl`` is built when it is read."""
+
+    def __init__(
+        self, canonical: tuple[str, np.ndarray], domain: tuple[str, np.ndarray]
+    ) -> None:
+        (self._canonical, self._c_at), (self._domain, self._d_at) = canonical, domain
+
+    def __len__(self) -> int:
+        return self._c_at.size - 1
+
+    def __getitem__(self, i: int) -> NormalizedUrl:
+        i = range(len(self))[i]
+        c, d = self._c_at, self._d_at
+        return NormalizedUrl(self._canonical[c[i]:c[i + 1]], self._domain[d[i]:d[i + 1]])
+
+    def __iter__(self) -> Iterator[NormalizedUrl]:
+        c, d = self._c_at.tolist(), self._d_at.tolist()
+        for c0, c1, d0, d1 in zip(c, c[1:], d, d[1:]):
+            yield NormalizedUrl(self._canonical[c0:c1], self._domain[d0:d1])
 
 
 def _in_range(values: np.ndarray, low: int, high: int) -> bool:
@@ -202,21 +232,24 @@ def load_columns(path: Path | str) -> tuple[TweetColumns, str, str]:
                     raise ValueError(f"{info.filename} is compressed or encrypted")
                 with zf.open(info) as fh:
                     arrays[info.filename[:-4]] = _read_member(fh, _MEMBERS[info.filename[:-4]])
-        names = _strings(arrays, "names")
-        canonical = _strings(arrays, "canonical")
-        domain = _strings(arrays, "domain")
+        text, offsets = _string_table(arrays, "names")
+        bounds = offsets.tolist()
+        names = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+        canonical = _string_table(arrays, "canonical")
+        domain = _string_table(arrays, "domain")
         author, retweeted = arrays["author"], arrays["retweeted"]
         url_ptr, url_ids = arrays["url_ptr"], arrays["url_ids"]
         if len(set(names)) != len(names):
             raise ValueError("author names repeat")
-        if len(domain) != len(canonical):
-            raise ValueError(f"{len(canonical)} URLs but {len(domain)} domains")
+        urls = _CachedUrls(canonical, domain)
+        if domain[1].size - 1 != len(urls):
+            raise ValueError(f"{len(urls)} URLs but {domain[1].size - 1} domains")
         if retweeted.size != author.size or url_ptr.size != author.size + 1:
             raise ValueError("record columns differ in length")
         _check_offsets(url_ptr, url_ids.size, "URL offsets")
         if not (_in_range(author, 0, len(names)) and _in_range(retweeted, -1, len(names))):
             raise ValueError("an author index is out of range")
-        if not _in_range(url_ids, 0, len(canonical)):
+        if not _in_range(url_ids, 0, len(urls)):
             raise ValueError("a URL id is out of range")
         if arrays["source_sha256"].size != 32:
             raise ValueError("source sha256 is not 32 bytes")
@@ -230,6 +263,6 @@ def load_columns(path: Path | str) -> tuple[TweetColumns, str, str]:
         retweeted=retweeted,
         url_ptr=url_ptr,
         url_ids=url_ids,
-        urls=[NormalizedUrl(c, d) for c, d in zip(canonical, domain)],
+        urls=urls,
     )
     return columns, source_name, arrays["source_sha256"].tobytes().hex()

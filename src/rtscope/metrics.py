@@ -52,10 +52,14 @@ def user_tallies(
     columns = as_columns(tweets)
     rows = np.flatnonzero(np.diff(columns.url_ptr))  # records with a valid URL
     # The class depends only on the host: classify one URL per distinct host.
-    hosts = [u.host for u in columns.urls]
-    rank_of = {host: _CLASS_RANK[classify_domain(u, catalog)]
-               for host, u in dict(zip(hosts, columns.urls)).items()}
-    rank = np.array([rank_of[host] for host in hosts], dtype=np.int64)
+    rank_of: dict[str, int] = {}
+    ranks = []
+    for u in columns.urls:
+        host = u.host
+        if host not in rank_of:
+            rank_of[host] = _CLASS_RANK[classify_domain(u, catalog)]
+        ranks.append(rank_of[host])
+    rank = np.array(ranks, dtype=np.int64)
     row_rank = np.maximum.reduceat(rank[columns.url_ids], columns.url_ptr[rows])
     matched = row_rank > 0
     authors = columns.author[rows[matched]].astype(np.int64)

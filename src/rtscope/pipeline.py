@@ -4,9 +4,10 @@ The pipeline is one ordered stage table (``STAGES``) over a ``RunContext``.
 Every stage writes plot-ready CSVs plus small JSON reports into the output
 directory. ``run_pipeline`` runs the whole table over one context and writes
 a manifest; ``run_stage`` runs one entry over a fresh context, which loads
-earlier stages' results from their caches in the output directory. Outputs
-contain no timestamps or absolute paths, so reruns with identical inputs and
-configuration are byte-identical.
+earlier stages' results from their caches in the output directory and
+rebuilds the graph from the tweet columns. Outputs contain no timestamps or
+absolute paths, so reruns with identical inputs and configuration are
+byte-identical.
 """
 from __future__ import annotations
 
@@ -270,8 +271,10 @@ class RunContext:
 
     A stage that produces a value stores it here, so later stages of the same
     run use it in memory. A value no earlier stage produced is loaded from the
-    stage cache in the output directory. Only the ``ingest`` stage parses the
-    tweet file.
+    stage cache in the output directory (``columns.npz``, ``partition.csv``,
+    ``user_scores.csv``); the graph is always built from the checked columns,
+    and ``nodes.csv``/``edges.csv`` are never read back. Only the ``ingest``
+    stage parses the tweet file.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -307,11 +310,11 @@ class RunContext:
 
     @cached_property
     def graph(self) -> graph_mod.RetweetGraph:
-        nodes_path = self.out / "nodes.csv"
-        edges_path = self.out / "edges.csv"
-        if not nodes_path.exists() or not edges_path.exists():
-            raise InputError("graph cache not found; run the 'graph' stage first")
-        return graph_mod.load_graph(nodes_path, edges_path)
+        """The retweet graph, always built from the tweet columns; it must have an edge."""
+        graph = graph_mod.build_retweet_graph(self.tweets)
+        if graph.n_edges == 0:
+            raise DomainError("edgeless graph: no retweet records to build links from")
+        return graph
 
     @cached_property
     def partition(self) -> community_mod.Partition:
@@ -404,10 +407,7 @@ def _ingest(ctx: RunContext) -> dict:
 
 
 def _graph(ctx: RunContext) -> dict:
-    graph = graph_mod.build_retweet_graph(ctx.tweets)
-    if graph.n_edges == 0:
-        raise DomainError("edgeless graph: no retweet records to build links from")
-    ctx.graph = graph
+    graph = ctx.graph
     graph_mod.save_graph(graph, ctx.out / "nodes.csv", ctx.out / "edges.csv")
     counts = {
         "nodes": graph.n_nodes,

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from rtscope.errors import InputError
+from rtscope.ingest import columns as columns_mod
 from rtscope.ingest.columns import build_columns, load_columns, save_columns
 from rtscope.ingest.records import TweetRecord
+from rtscope.ingest.urls import NormalizedUrl
 
 SHA = "ab" * 32
 
@@ -41,7 +43,8 @@ def test_round_trip(records, tmp_path):
     loaded, name, sha = load_columns(tmp_path / "columns.npz")
     assert (name, sha) == ("tweets.jsonl", SHA)
     assert loaded.names == columns.names
-    assert loaded.urls == columns.urls
+    assert list(loaded.urls) == columns.urls
+    assert [loaded.urls[i] for i in range(-len(columns.urls), 0)] == columns.urls
     for key in ("author", "retweeted", "url_ptr", "url_ids"):
         assert np.array_equal(getattr(loaded, key), getattr(columns, key)), key
         assert getattr(loaded, key).dtype == getattr(columns, key).dtype, key
@@ -103,3 +106,61 @@ def test_damaged_npy_header_is_an_input_error(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(InputError, match="columns.npz"):
         load_columns(path)
+
+
+def test_loaded_urls_are_built_only_when_read(monkeypatch, tmp_path):
+    save_columns(build_columns(_records()), tmp_path / "columns.npz", "t.jsonl", SHA)
+    built = []
+
+    def counting(canonical, domain):
+        built.append(canonical)
+        return NormalizedUrl(canonical, domain)
+
+    monkeypatch.setattr(columns_mod, "NormalizedUrl", counting)
+    loaded, _, _ = load_columns(tmp_path / "columns.npz")
+    assert len(loaded.urls) == 2 and built == []
+    assert loaded.urls[1] == NormalizedUrl("b.example", "b.example")
+    assert built == ["b.example"]
+    with pytest.raises(IndexError):
+        loaded.urls[2]
+
+
+def _save_with(path, change) -> None:
+    save_columns(build_columns(_records()), path, "t.jsonl", SHA)
+    with np.load(path) as data:
+        arrays = dict(data)
+    change(arrays)
+    np.savez(path, **arrays)
+
+
+def _multibyte_first_url(arrays) -> None:
+    """The first URL gains a leading "é" (two bytes)."""
+    arrays["canonical"] = np.concatenate([np.frombuffer("é".encode(), np.uint8),
+                                          arrays["canonical"]])
+    arrays["canonical_offsets"][1:] += 2
+
+
+def test_valid_multibyte_urls_load(tmp_path):
+    _save_with(tmp_path / "columns.npz", _multibyte_first_url)
+    loaded, _, _ = load_columns(tmp_path / "columns.npz")
+    assert [u.canonical for u in loaded.urls] == ["énews.example/a", "b.example"]
+
+
+def _invalid_byte_in_last_url(arrays) -> None:
+    arrays["canonical"][-1] = 0xFF
+
+
+def _offset_inside_a_character(arrays) -> None:
+    _multibyte_first_url(arrays)
+    arrays["canonical_offsets"][1] = 1  # the whole blob still decodes
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [(_invalid_byte_in_last_url, "can't decode byte 0xff"),
+     (_offset_inside_a_character, "canonical offsets split a UTF-8 character")],
+)
+def test_undecodable_url_is_refused_before_any_read(change, message, tmp_path):
+    _save_with(tmp_path / "columns.npz", change)
+    with pytest.raises(InputError, match=f"columns.npz: invalid column cache: .*{message}"):
+        load_columns(tmp_path / "columns.npz")

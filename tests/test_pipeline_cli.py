@@ -273,9 +273,6 @@ class TestCorruptStageCache:
             ("nulltest", "user_scores.csv", 1, "999"),
             ("nulltest", "user_scores.csv", 2, "-5"),
             ("nulltest", "partition.csv", 1, "-3"),
-            ("communities", "nodes.csv", 0, None),
-            ("communities", "edges.csv", 2, "not-an-int"),
-            ("communities", "edges.csv", None, "duplicate"),
         ],
     )
     def test_corrupt_cache_exits_2_without_traceback(
@@ -289,6 +286,52 @@ class TestCorruptStageCache:
         assert "Traceback" not in proc.stderr
         line = 3 if field is None else 2  # a repeated row is refused where it repeats
         assert f"{cache_file}:{line}:" in proc.stderr
+
+
+# The stages after `graph`, and every file they write.
+LATER_OUTPUTS = [name for name in EXPECTED_ARTIFACTS if name not in (
+    "parse_report.json", "columns.npz", "nodes.csv", "edges.csv", "graph_report.json",
+    "manifest.json",
+)]
+LATER_STAGES = ["communities", "scores", "urls", "nulltest", "curves"]
+
+
+class TestGraphFromColumns:
+    """Every stage takes the graph from the checked columns, never from nodes.csv/edges.csv."""
+
+    @pytest.mark.parametrize("damage", ["damaged", "deleted"])
+    def test_graph_files_are_never_read_back(self, fixture_dir, full_run_dir, tmp_path, damage):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(full_run_dir / "columns.npz", out)
+        if damage == "damaged":
+            for name in ("nodes.csv", "edges.csv"):
+                (out / name).write_text("index,author_id\n0,x\nnot,a,row\n", encoding="utf-8")
+        config = _config(fixture_dir, out)
+        for name in LATER_STAGES:
+            run_stage(config, name)
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(["columns.npz", *LATER_OUTPUTS] + (
+            ["edges.csv", "nodes.csv"] if damage == "damaged" else []))
+        for name in LATER_OUTPUTS:
+            assert (out / name).read_bytes() == (full_run_dir / name).read_bytes(), name
+
+    def test_communities_after_a_new_ingest_sees_the_new_tweets(
+        self, fixture_dir, full_run_dir, tmp_path
+    ):
+        lines = (fixture_dir / "tweets.jsonl").read_bytes().splitlines(keepends=True)
+        truncated = tmp_path / "tweets.jsonl"
+        truncated.write_bytes(b"".join(lines[: 4 * len(lines) // 5]))
+        stale = tmp_path / "stale"
+        shutil.copytree(full_run_dir, stale)
+        run_stage(_config(fixture_dir, stale, tweets=truncated), "ingest")
+        run_stage(_config(fixture_dir, stale, tweets=truncated), "communities")
+        fresh = tmp_path / "fresh"
+        run_pipeline(_config(fixture_dir, fresh, tweets=truncated))
+        report = "communities_report.json"  # its modularity tells the two graphs apart
+        assert (fresh / report).read_bytes() != (full_run_dir / report).read_bytes()
+        for name in ("partition.csv", "communities_report.json"):
+            assert (stale / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def _url_id_past_the_end(arrays):
@@ -311,6 +354,18 @@ def _missing_member(arrays):
     del arrays["retweeted"]
 
 
+def _invalid_utf8_in_canonical(arrays):
+    arrays["canonical"][0] = 0xFF
+
+
+def _canonical_offset_inside_a_character(arrays):
+    # The first URL gains a leading "é" (two bytes); its end then moves between them.
+    arrays["canonical"] = np.concatenate([np.frombuffer("é".encode(), np.uint8),
+                                          arrays["canonical"]])
+    arrays["canonical_offsets"][1:] += 2
+    arrays["canonical_offsets"][1] = 1
+
+
 @pytest.fixture(scope="module")
 def fuzz_run_dir(full_run_dir, tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("fuzz") / "out"
@@ -329,7 +384,7 @@ class TestColumnCache:
     @pytest.mark.parametrize(
         "defect",
         [_url_id_past_the_end, _decreasing_offsets, _author_out_of_range, _pickled_array,
-         _missing_member],
+         _missing_member, _invalid_utf8_in_canonical, _canonical_offset_inside_a_character],
     )
     def test_defective_cache_exits_2_naming_it(
         self, fixture_dir, full_run_dir, tmp_path, defect
@@ -343,7 +398,7 @@ class TestColumnCache:
         proc = _run_cli(*_stage_args("scores", fixture_dir, out))
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "columns.npz" in proc.stderr
+        assert "columns.npz: invalid column cache" in proc.stderr
 
     def test_lone_surrogate_in_names_exits_2(self, fixture_dir, full_run_dir, tmp_path):
         out = tmp_path / "out"
