@@ -74,6 +74,9 @@ def load_bot_scores(path: Path | str) -> BotScoreTable:
 
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+# After this many requested users in a row get no score, ``fetch_into`` takes
+# the service as down and sends no more requests.
+GIVE_UP_AFTER = 3
 
 
 class BotScoreClient:
@@ -85,7 +88,8 @@ class BotScoreClient:
     written through to an on-disk cache (one JSON file per user, written
     atomically) so repeated runs never re-query. Outbound requests are
     serialized and spaced to honor ``requests_per_minute``; throttling and
-    server errors retry with exponential backoff.
+    server errors retry with exponential backoff. ``fetch_into`` stops
+    requesting after ``GIVE_UP_AFTER`` users in a row got no score.
     """
 
     def __init__(
@@ -222,27 +226,42 @@ class BotScoreClient:
             f"no score for user {user_id!r} after {self.max_retries + 1} attempts ({last_failure})"
         )
 
-    def _score(self, user_id: str) -> float:
-        """Cache read-through: the cached score, else a service request written to the cache."""
-        score = self._cache_get(user_id)
-        if score is None:
-            score = self._request_score(user_id)
-            self._cache_put(user_id, score, fetched_at=int(self._clock()))
-        return score
-
     # -- public API ----------------------------------------------------
 
     def fetch_into(self, table: BotScoreTable, user_ids: Iterable[str]) -> int:
-        """Fetch scores for ``user_ids`` into ``table``; returns how many were unavailable."""
-        unavailable = 0
+        """Fetch scores for ``user_ids`` into ``table``; returns how many were unavailable.
+
+        Each score is read through the disk cache: a cached score, else a
+        service request whose answer is written to the cache. Once
+        ``GIVE_UP_AFTER`` requested users in a row got no score (cache hits
+        between them do not count), the remaining users are read from the
+        cache only and the others count as unavailable.
+        """
+        unavailable = failures = not_requested = 0
         for user_id in user_ids:
             if user_id in table:
                 continue
-            try:
-                score = self._score(user_id)
-            except ScoreUnavailableError as exc:
-                log.warning("%s", exc)
+            score = self._cache_get(user_id)
+            if score is None and failures >= GIVE_UP_AFTER:
+                not_requested += 1
+            elif score is None:
+                try:
+                    score = self._request_score(user_id)
+                except ScoreUnavailableError as exc:
+                    log.warning("%s", exc)
+                    failures += 1
+                else:
+                    failures = 0
+                    self._cache_put(user_id, score, fetched_at=int(self._clock()))
+            if score is None:
                 unavailable += 1
-                continue
-            table.put(user_id, score)
+            else:
+                table.put(user_id, score)
+        if not_requested:
+            log.warning(
+                "scoring service gave no score for %d users in a row; %d more user(s) "
+                "not in the cache were not requested and count as unavailable",
+                GIVE_UP_AFTER,
+                not_requested,
+            )
         return unavailable

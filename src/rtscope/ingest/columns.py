@@ -117,8 +117,6 @@ _MEMBERS = {
     "url_ids": _I32,
     "canonical": _U8,
     "canonical_offsets": _I64,
-    "domain": _U8,
-    "domain_offsets": _I64,
 }
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
@@ -143,7 +141,6 @@ def save_columns(
         "url_ptr": columns.url_ptr,
         "url_ids": columns.url_ids,
         **_pack("canonical", [u.canonical for u in columns.urls]),
-        **_pack("domain", [u.domain for u in columns.urls]),
     }
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for key, dtype in _MEMBERS.items():
@@ -191,23 +188,20 @@ def _string_table(arrays: dict[str, np.ndarray], key: str) -> tuple[str, np.ndar
 class _CachedUrls(Sequence[NormalizedUrl]):
     """A loaded cache's URL table; each ``NormalizedUrl`` is built when it is read."""
 
-    def __init__(
-        self, canonical: tuple[str, np.ndarray], domain: tuple[str, np.ndarray]
-    ) -> None:
-        (self._canonical, self._c_at), (self._domain, self._d_at) = canonical, domain
+    def __init__(self, text: str, at: np.ndarray) -> None:
+        self._text, self._at = text, at
 
     def __len__(self) -> int:
-        return self._c_at.size - 1
+        return self._at.size - 1
 
     def __getitem__(self, i: int) -> NormalizedUrl:
         i = range(len(self))[i]
-        c, d = self._c_at, self._d_at
-        return NormalizedUrl(self._canonical[c[i]:c[i + 1]], self._domain[d[i]:d[i + 1]])
+        return NormalizedUrl(self._text[self._at[i]:self._at[i + 1]])
 
     def __iter__(self) -> Iterator[NormalizedUrl]:
-        c, d = self._c_at.tolist(), self._d_at.tolist()
-        for c0, c1, d0, d1 in zip(c, c[1:], d, d[1:]):
-            yield NormalizedUrl(self._canonical[c0:c1], self._domain[d0:d1])
+        at = self._at.tolist()
+        for start, end in zip(at, at[1:]):
+            yield NormalizedUrl(self._text[start:end])
 
 
 def _in_range(values: np.ndarray, low: int, high: int) -> bool:
@@ -235,15 +229,11 @@ def load_columns(path: Path | str) -> tuple[TweetColumns, str, str]:
         text, offsets = _string_table(arrays, "names")
         bounds = offsets.tolist()
         names = [text[a:b] for a, b in zip(bounds, bounds[1:])]
-        canonical = _string_table(arrays, "canonical")
-        domain = _string_table(arrays, "domain")
+        urls = _CachedUrls(*_string_table(arrays, "canonical"))
         author, retweeted = arrays["author"], arrays["retweeted"]
         url_ptr, url_ids = arrays["url_ptr"], arrays["url_ids"]
         if len(set(names)) != len(names):
             raise ValueError("author names repeat")
-        urls = _CachedUrls(canonical, domain)
-        if domain[1].size - 1 != len(urls):
-            raise ValueError(f"{len(urls)} URLs but {domain[1].size - 1} domains")
         if retweeted.size != author.size or url_ptr.size != author.size + 1:
             raise ValueError("record columns differ in length")
         _check_offsets(url_ptr, url_ids.size, "URL offsets")

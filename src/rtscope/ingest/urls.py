@@ -1,4 +1,4 @@
-"""URL normalization and registered-domain handling.
+"""URL normalization.
 
 Canonical form (the identity used when counting shares of a link):
 - scheme, userinfo and port dropped; host lowercased; leading "www." stripped
@@ -26,24 +26,10 @@ _TRACKING_NAMES = frozenset({"fbclid", "gclid"})
 @dataclass(frozen=True, slots=True)
 class NormalizedUrl:
     canonical: str
-    domain: str
 
     @property
     def host(self) -> str:
         return self.canonical.split("/", 1)[0].split("?", 1)[0]
-
-
-def registered_domain(host: str) -> str:
-    """Two-label fallback: the last two labels of the host.
-
-    No public-suffix database is consulted; catalog matching walks the full
-    host suffix chain anyway (see ``classify_domain``), so the fallback only
-    affects the reported ``domain`` string.
-    """
-    labels = host.split(".")
-    if len(labels) <= 2:
-        return host
-    return ".".join(labels[-2:])
 
 
 def _keep_param(name: str) -> bool:
@@ -81,4 +67,4 @@ def normalize_url(raw: str) -> NormalizedUrl:
     kept = [(k, v) for k, v in parse_qsl(parts.query, keep_blank_values=True) if _keep_param(k)]
     query = urlencode(kept)
     canonical = host + path + (f"?{query}" if query else "")
-    return NormalizedUrl(canonical=canonical, domain=registered_domain(host))
+    return NormalizedUrl(canonical)

@@ -4,10 +4,10 @@ The pipeline is one ordered stage table (``STAGES``) over a ``RunContext``.
 Every stage writes plot-ready CSVs plus small JSON reports into the output
 directory. ``run_pipeline`` runs the whole table over one context and writes
 a manifest; ``run_stage`` runs one entry over a fresh context, which loads
-earlier stages' results from their caches in the output directory and
-rebuilds the graph from the tweet columns. Outputs contain no timestamps or
-absolute paths, so reruns with identical inputs and configuration are
-byte-identical.
+the tweet columns and the partition from their caches in the output
+directory and computes the graph and the user profiles from them. Outputs
+contain no timestamps or absolute paths, so reruns with identical inputs and
+configuration are byte-identical.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from rtscope import metrics as metrics_mod
 from rtscope import stats as stats_mod
 from rtscope.errors import ConfigError, DomainError, InputError, ToolkitError
 from rtscope.ingest.botscores import BotScoreClient, BotScoreTable, load_bot_scores
-from rtscope.ingest.catalog import load_source_catalog
+from rtscope.ingest.catalog import SourceCatalog, load_source_catalog
 from rtscope.ingest.columns import TweetColumns, load_columns, read_columns, save_columns
 from rtscope.ingest.records import ParseReport
 from rtscope.metrics import UserProfile
@@ -192,17 +192,6 @@ def _write_json(obj: Any, path: Path) -> None:
         fh.write("\n")
 
 
-USER_SCORE_COLUMNS = [
-    "author_id",
-    "catalog_tweets",
-    "unreliable_tweets",
-    "reliable_tweets",
-    "unreliable_ratio",
-    "untrustworthiness",
-    "bot_score",
-]
-
-
 def _write_user_scores(
     path: Path,
     profiles: Mapping[int, UserProfile],
@@ -210,7 +199,10 @@ def _write_user_scores(
 ) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(USER_SCORE_COLUMNS)
+        writer.writerow(
+            ["author_id", "catalog_tweets", "unreliable_tweets", "reliable_tweets",
+             "unreliable_ratio", "untrustworthiness", "bot_score"]
+        )
         for idx in sorted(profiles):
             p = profiles[idx]
             writer.writerow(
@@ -226,42 +218,6 @@ def _write_user_scores(
             )
 
 
-def _unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:  # also refuses nan
-        raise ValueError(f"{text!r} is not in [0, 1]")
-    return value
-
-
-def _load_user_scores(path: Path, nodes: graph_mod.NodeTable) -> dict[int, UserProfile]:
-    if not path.exists():
-        raise InputError("user_scores.csv not found; run the 'scores' stage first")
-    profiles: dict[int, UserProfile] = {}
-    with graph_mod._cache_rows(path, USER_SCORE_COLUMNS, "user-score table") as reader:
-        for row in reader:
-            idx = nodes.get(row[0])
-            if idx is None:
-                raise InputError(f"{path}: author {row[0]!r} not in the node table")
-            if idx in profiles:
-                raise InputError(f"{path}:{reader.line_num}: duplicate author {row[0]!r}")
-            total, unreliable, reliable = int(row[1]), int(row[2]), int(row[3])
-            if min(unreliable, reliable) < 0 or total != unreliable + reliable:
-                raise ValueError(
-                    f"counts {total}, {unreliable}, {reliable} are not total = unreliable + "
-                    "reliable with non-negative parts"
-                )
-            profiles[idx] = UserProfile(
-                user=idx,
-                total=total,
-                unreliable=unreliable,
-                reliable=reliable,
-                ratio=_unit_float(row[4]),
-                untrustworthiness=_unit_float(row[5]),
-                bot_score=_unit_float(row[6]) if row[6] else None,
-            )
-    return profiles
-
-
 # ---------------------------------------------------------------------------
 # run context
 
@@ -271,10 +227,11 @@ class RunContext:
 
     A stage that produces a value stores it here, so later stages of the same
     run use it in memory. A value no earlier stage produced is loaded from the
-    stage cache in the output directory (``columns.npz``, ``partition.csv``,
-    ``user_scores.csv``); the graph is always built from the checked columns,
-    and ``nodes.csv``/``edges.csv`` are never read back. Only the ``ingest``
-    stage parses the tweet file.
+    stage cache in the output directory (``columns.npz``, ``partition.csv``).
+    The graph and the user profiles are always computed from the checked
+    columns (plus the catalogs and bot scores), so ``nodes.csv``,
+    ``edges.csv`` and ``user_scores.csv`` are never read back. Only the
+    ``ingest`` stage parses the tweet file.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -324,8 +281,18 @@ class RunContext:
         return community_mod.load_partition(path, self.graph.nodes)
 
     @cached_property
+    def catalog(self) -> SourceCatalog:
+        """Both source lists; every stage from ``scores`` on needs them."""
+        return load_source_catalog(
+            _require(self.config, "unreliable_sources"), _require(self.config, "reliable_sources")
+        )
+
+    @cached_property
     def profiles(self) -> dict[int, UserProfile]:
-        return _load_user_scores(self.out / "user_scores.csv", self.graph.nodes)
+        """Every user's scores, computed from the columns, the catalogs and the bot scores."""
+        nodes = self.graph.nodes
+        tallies = metrics_mod.user_tallies(self.tweets, self.catalog)
+        return metrics_mod.build_profiles(tallies, nodes, self.bot_scores[0])
 
     @cached_property
     def bot_scores(self) -> tuple[BotScoreTable | None, int]:
@@ -447,16 +414,10 @@ def _communities(ctx: RunContext) -> dict:
 
 
 def _scores(ctx: RunContext) -> dict:
-    config = ctx.config
-    nodes = ctx.graph.nodes
-    catalog = load_source_catalog(
-        _require(config, "unreliable_sources"), _require(config, "reliable_sources")
-    )
-    tallies = metrics_mod.user_tallies(ctx.tweets, catalog)
-    bot_table, unavailable = ctx.bot_scores
-    profiles = metrics_mod.build_profiles(tallies, nodes, bot_table)
-    ctx.profiles = profiles
-    _write_user_scores(ctx.out / "user_scores.csv", profiles, nodes)
+    profiles = ctx.profiles
+    catalog = ctx.catalog
+    _, unavailable = ctx.bot_scores
+    _write_user_scores(ctx.out / "user_scores.csv", profiles, ctx.graph.nodes)
     counts = {
         "scored_users": len(profiles),
         "catalog_unreliable_domains": len(catalog.unreliable),

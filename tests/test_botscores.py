@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import sys
 import threading
 
@@ -10,7 +11,12 @@ import pytest
 import requests
 
 from rtscope.errors import InputError, ProtocolError
-from rtscope.ingest.botscores import BotScoreClient, BotScoreTable, load_bot_scores
+from rtscope.ingest.botscores import (
+    GIVE_UP_AFTER,
+    BotScoreClient,
+    BotScoreTable,
+    load_bot_scores,
+)
 
 
 class TestLoadBotScores:
@@ -79,6 +85,17 @@ class _ScriptedTransport:
         if isinstance(item, Exception):
             raise item
         return item
+
+
+class _DownTransport:
+    """An unreachable service: every request fails at the network level."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def get(self, url, params=None, headers=None, timeout=None):
+        self.calls += 1
+        raise OSError("connection refused")
 
 
 class _FakeClock:
@@ -271,3 +288,32 @@ class TestBotScoreClient:
         for entry in (tmp_path / "cache").glob("*.json"):
             score = json.loads(entry.read_text())["score"]
             assert 0.0 <= score <= 1.0
+
+    def test_unreachable_service_stops_requesting_but_reads_the_cache(self, tmp_path, caplog):
+        warm, _, _ = _client(tmp_path, [_Response(200, {"score": 0.6}), _Response(200, 0.2)])
+        assert (_fetch(warm, "c1"), _fetch(warm, "c2")) == (0.6, 0.2)
+        client, _, clock = _client(
+            tmp_path, [], max_retries=1, backoff_base=0.5, requests_per_minute=6000.0
+        )
+        client._transport = down = _DownTransport()
+        table = BotScoreTable()
+        users = ["u1", "u2", "c1", "u3", "u4", "c2", "u5"]
+        with caplog.at_level(logging.WARNING, logger="rtscope.ingest.botscores"):
+            unavailable = client.fetch_into(table, users)
+        # u1-u3 are requested (two attempts each); the cache hit between them
+        # does not reset the count, and u4 and u5 are never requested.
+        assert GIVE_UP_AFTER == 3
+        assert down.calls == 3 * 2
+        assert clock.sleeps.count(0.5) == 3  # one backoff per requested user
+        assert unavailable == 5
+        assert (table.get("c1"), table.get("c2"), len(table)) == (0.6, 0.2, 2)
+        assert "2 more user(s)" in caplog.text
+
+    def test_a_scored_request_resets_the_give_up_count(self, tmp_path):
+        script = [OSError("down")] * 2 + [_Response(200, 0.4)] + [OSError("down")] * 3
+        client, transport, _ = _client(tmp_path, script, max_retries=0)
+        table = BotScoreTable()
+        assert client.fetch_into(table, ["a", "b", "ok", "c", "d", "e", "f"]) == 6
+        assert table.get("ok") == 0.4
+        # a and b fail, ok resets the count, then c, d and e fail; f is not requested
+        assert len(transport.calls) == 6

@@ -112,14 +112,14 @@ def test_loaded_urls_are_built_only_when_read(monkeypatch, tmp_path):
     save_columns(build_columns(_records()), tmp_path / "columns.npz", "t.jsonl", SHA)
     built = []
 
-    def counting(canonical, domain):
+    def counting(canonical):
         built.append(canonical)
-        return NormalizedUrl(canonical, domain)
+        return NormalizedUrl(canonical)
 
     monkeypatch.setattr(columns_mod, "NormalizedUrl", counting)
     loaded, _, _ = load_columns(tmp_path / "columns.npz")
     assert len(loaded.urls) == 2 and built == []
-    assert loaded.urls[1] == NormalizedUrl("b.example", "b.example")
+    assert loaded.urls[1] == NormalizedUrl("b.example")
     assert built == ["b.example"]
     with pytest.raises(IndexError):
         loaded.urls[2]
@@ -163,4 +163,12 @@ def _offset_inside_a_character(arrays) -> None:
 def test_undecodable_url_is_refused_before_any_read(change, message, tmp_path):
     _save_with(tmp_path / "columns.npz", change)
     with pytest.raises(InputError, match=f"columns.npz: invalid column cache: .*{message}"):
+        load_columns(tmp_path / "columns.npz")
+
+
+def test_cache_from_a_build_with_url_domains_is_refused(tmp_path):
+    # Older builds also stored each URL's registered domain as a string table.
+    _save_with(tmp_path / "columns.npz", lambda arrays: arrays.update(
+        domain=np.zeros(0, np.uint8), domain_offsets=np.zeros(3, np.int64)))
+    with pytest.raises(InputError, match="columns.npz: invalid column cache: members"):
         load_columns(tmp_path / "columns.npz")

@@ -77,7 +77,7 @@ def _config(fixture_dir: Path, out_dir: Path, **overrides) -> RunConfig:
 # sha256 of every file of the fixture bundle but manifest.json, which echoes
 # input paths. A change that alters the outputs on purpose updates this list.
 FIXTURE_DIGESTS = {
-    "columns.npz": "6baa5fecb714729b000f32eab3ad916dbe6acf198e1f7299b31a5873641c0bd6",
+    "columns.npz": "54ba3d31fe340164bee7a73899fea531585b4506fe4652c51c4199301cc46eb7",
     "communities.csv": "7eecc34db2e3367b10c4da923903f2cca5f5dffa4006da073e23223fc557314a",
     "communities_report.json": "7db466b20f5393a78d2c4bfd5d690a003a74dccd0743838e54b3a21bdb9e832f",
     "curve_feature_hist.csv": "70bb47494750db72c1fa084b3e0aeaead9a262d58f95852c4f560c1d01f49e14",
@@ -265,13 +265,8 @@ class TestCorruptStageCache:
     @pytest.mark.parametrize(
         "stage, cache_file, field, value",
         [
-            ("nulltest", "user_scores.csv", 4, "not-a-float"),
-            ("nulltest", "user_scores.csv", 5, "nan"),
             ("nulltest", "partition.csv", 1, "not-an-int"),
             ("nulltest", "partition.csv", None, "duplicate"),
-            ("nulltest", "user_scores.csv", None, "duplicate"),
-            ("nulltest", "user_scores.csv", 1, "999"),
-            ("nulltest", "user_scores.csv", 2, "-5"),
             ("nulltest", "partition.csv", 1, "-3"),
         ],
     )
@@ -334,6 +329,65 @@ class TestGraphFromColumns:
             assert (stale / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
+# The stages after `scores`, and the files each writes.
+AFTER_SCORES = {
+    "urls": ["url_report.csv", "url_report_high_bs_ops.csv", "urls_report.json"],
+    "nulltest": ["nulltest_u.csv", "nulltest_bs.csv", "nulltest_report.json"],
+    "curves": ["curves.csv", "curves_zero_filled.csv", "curve_feature_hist.csv",
+               "curves_report.json"],
+}
+
+
+def _wrong_untrustworthiness(path: Path) -> None:
+    """A well-formed user_scores.csv whose every untrustworthiness is 0.5."""
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [rows[0]] + [row[:5] + ["0.5"] + row[6:] for row in rows[1:]]
+        )
+
+
+class TestProfilesFromColumns:
+    """Every stage computes the user profiles; user_scores.csv is an output only."""
+
+    @pytest.mark.parametrize("damage", ["wrong-values", "malformed", "deleted"])
+    def test_user_scores_is_never_read_back(self, fixture_dir, full_run_dir, tmp_path, damage):
+        out = tmp_path / "out"
+        config = _config(fixture_dir, out)
+        for name in ("ingest", "communities"):
+            run_stage(config, name)
+        if damage == "wrong-values":
+            shutil.copy(full_run_dir / "user_scores.csv", out)
+            _wrong_untrustworthiness(out / "user_scores.csv")
+        elif damage == "malformed":
+            (out / "user_scores.csv").write_text("author_id\nnot,a,row\n", encoding="utf-8")
+        damaged = (out / "user_scores.csv").read_bytes() if damage != "deleted" else None
+        for stage, outputs in AFTER_SCORES.items():
+            run_stage(config, stage)
+            for name in outputs:
+                assert (out / name).read_bytes() == (full_run_dir / name).read_bytes(), name
+        if damaged is None:
+            assert not (out / "user_scores.csv").exists()
+        else:
+            assert (out / "user_scores.csv").read_bytes() == damaged
+
+    def test_a_catalog_change_reaches_urls_and_nulltest(self, fixture_dir, full_run_dir, tmp_path):
+        lines = (fixture_dir / "sources_unreliable.txt").read_text(encoding="utf-8").splitlines()
+        unreliable = tmp_path / "sources_unreliable.txt"
+        unreliable.write_text("\n".join(lines[:4]) + "\n", encoding="utf-8")
+        fresh = tmp_path / "fresh"
+        run_pipeline(_config(fixture_dir, fresh, unreliable_sources=unreliable))
+        for name in ("user_scores.csv", "nulltest_u.csv"):
+            assert (fresh / name).read_bytes() != (full_run_dir / name).read_bytes(), name
+        stale = tmp_path / "stale"
+        shutil.copytree(full_run_dir, stale)
+        config = _config(fixture_dir, stale, unreliable_sources=unreliable)
+        for stage in ("urls", "nulltest"):
+            run_stage(config, stage)
+            for name in AFTER_SCORES[stage]:
+                assert (stale / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 def _url_id_past_the_end(arrays):
     arrays["url_ids"][0] = arrays["canonical_offsets"].size - 1
 
@@ -347,7 +401,7 @@ def _author_out_of_range(arrays):
 
 
 def _pickled_array(arrays):
-    arrays["domain"] = np.array(["x"] * arrays["domain"].size, dtype=object)
+    arrays["canonical"] = np.array(["x"] * arrays["canonical"].size, dtype=object)
 
 
 def _missing_member(arrays):

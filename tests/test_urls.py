@@ -13,25 +13,24 @@ from rtscope.ingest.catalog import (
     host_suffixes,
     load_source_catalog,
 )
-from rtscope.ingest.urls import normalize_url, registered_domain
+from rtscope.ingest.urls import normalize_url
 
 
 class TestNormalizeUrl:
     def test_strips_scheme_www_tracking_and_fragment(self):
         u = normalize_url("HTTPS://WWW.Example.com/a/?utm_source=x#frag")
         assert u.canonical == "example.com/a"
-        assert u.domain == "example.com"
+        assert u.host == "example.com"
 
     def test_identity_on_canonical_input(self):
         u = normalize_url("example.com/a")
         assert u.canonical == "example.com/a"
 
-    def test_keeps_significant_query_and_two_label_domain(self):
-        # Hand application of the rules: drop fbclid, keep id, host stays,
-        # registered domain falls back to the last two labels.
+    def test_keeps_significant_query_and_full_host(self):
+        # Hand application of the rules: drop fbclid, keep id, host stays whole.
         u = normalize_url("http://sub.news.it/p?id=3&fbclid=Z")
         assert u.canonical == "sub.news.it/p?id=3"
-        assert u.domain == "news.it"
+        assert u.host == "sub.news.it"
 
     def test_root_path_collapses(self):
         assert normalize_url("http://example.com/").canonical == "example.com"
@@ -72,18 +71,9 @@ class TestNormalizeUrl:
         once = normalize_url(raw)
         twice = normalize_url(once.canonical)
         assert twice == once
-        assert once.domain == registered_domain(once.host)
-        assert once.host.endswith(once.domain)
 
     def test_cache_returns_equal_values(self):
         assert normalize_url("example.com/a") is normalize_url("example.com/a")
-
-
-class TestRegisteredDomain:
-    def test_two_label_fallback(self):
-        assert registered_domain("sub.news.it") == "news.it"
-        assert registered_domain("example.com") == "example.com"
-        assert registered_domain("localhost") == "localhost"
 
 
 class TestClassifyDomain:
